@@ -8,7 +8,7 @@ acting Hopf algebra and the explicit braiding.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import PrereqFailed
 from .hopf import AlgebraData, CoalgebraData, HopfAlgebraData, _check_map, check_hopf
@@ -119,24 +119,22 @@ def check_module_coalgebra(m: LeftModuleData, coa: CoalgebraData) -> AxiomReport
     id_m = LinMap.identity(field, m.carrier)
     id_h = LinMap.identity(field, h.space)
     rep = AxiomReport()
-    rep.append(equation_entry(
+    counit = equation_entry(
         "carrier_counit",
         compose(coa.counit, m.action),
-        tensor(h.counit, coa.counit)))
+        tensor(h.counit, coa.counit))
+    rep.append(counit)
+    coproduct_after = compose(coa.coproduct, m.action)
     via_square = compose(left_tensor_square_action(m), tensor(id_h, coa.coproduct))
-    rep.append(equation_entry(
-        "carrier_coproduct", compose(coa.coproduct, m.action), via_square))
-    # same axiom stated as: the action is a coalgebra morphism from H (x) C to C
+    rep.append(equation_entry("carrier_coproduct", coproduct_after, via_square))
+    # same axiom stated as: the action is a coalgebra morphism from H (x) C to C;
+    # its counit half is the same equation as carrier_counit
     via_morphism = compose(
         tensor(m.action, m.action),
         tensor(id_h, braiding(field, h.space, m.carrier), id_m),
         tensor(h.coproduct, coa.coproduct))
-    rep.append(equation_entry(
-        "morphism_counit",
-        compose(coa.counit, m.action),
-        tensor(h.counit, coa.counit)))
-    rep.append(equation_entry(
-        "morphism_coproduct", compose(coa.coproduct, m.action), via_morphism))
+    rep.append(replace(counit, name="morphism_counit"))
+    rep.append(equation_entry("morphism_coproduct", coproduct_after, via_morphism))
     rep.append(equation_entry("routes_agree", via_square, via_morphism))
     return rep
 
@@ -154,15 +152,14 @@ def check_right_module_coalgebra(m: RightModuleData, coa: CoalgebraData) -> Axio
         "carrier_counit",
         compose(coa.counit, m.action),
         tensor(coa.counit, h.counit)))
+    coproduct_after = compose(coa.coproduct, m.action)
     via_square = compose(right_tensor_square_action(m), tensor(coa.coproduct, id_h))
-    rep.append(equation_entry(
-        "carrier_coproduct", compose(coa.coproduct, m.action), via_square))
+    rep.append(equation_entry("carrier_coproduct", coproduct_after, via_square))
     via_morphism = compose(
         tensor(m.action, m.action),
         tensor(id_m, braiding(field, m.carrier, h.space), id_h),
         tensor(coa.coproduct, h.coproduct))
-    rep.append(equation_entry(
-        "morphism_coproduct", compose(coa.coproduct, m.action), via_morphism))
+    rep.append(equation_entry("morphism_coproduct", coproduct_after, via_morphism))
     rep.append(equation_entry("routes_agree", via_square, via_morphism))
     return rep
 

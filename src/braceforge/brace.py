@@ -16,6 +16,11 @@ from .linmap import LinMap, Space, braiding, compose, equation_entry, tensor
 from .report import AxiomReport
 
 
+# The structure maps of a Hopf brace, in the order reports compare them.
+BRACE_MAPS = ("unit", "counit", "coproduct",
+              "product1", "antipode1", "product2", "antipode2")
+
+
 @dataclass(frozen=True)
 class HopfBraceData:
     space: Space

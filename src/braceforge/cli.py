@@ -3,7 +3,8 @@
 Exit codes: 0 all checks pass, 1 axiom failure, 2 I/O or schema error,
 3 unmet precondition (for example a non-cocommutative input to a gated
 construction).  Set BRACE_FORGE_THREADS to run the suite sweep across
-worker processes.
+worker processes: unset, empty, 0 or 1 run serially, and any larger count
+is capped at the number of CPUs and of skew brace rows.
 """
 from __future__ import annotations
 
@@ -21,27 +22,16 @@ from .brace import (HopfBraceData, check_brace_identities, check_hopf_brace,
                     gamma, phi, trivial_brace)
 from .errors import (BraceForgeError, NotAGroup, NotCocommutative, NotDiagonal,
                      OrderTooLarge, PrereqFailed, StorageError, _AxiomsFailed)
-from .hopf import HopfAlgebraData, check_hopf, group_algebra
+from .hopf import check_hopf, group_algebra
 from .linmap import parse_field
-from .matched import (MatchedPairData, check_matched_pair, check_mp_over_A,
-                      functor_F, functor_G, obt_from_matched_pair,
-                      roundtrip_FG, roundtrip_GF)
-from .obt import (OppBraceTripleData, build_deformed_hopf, check_lemma_mu_recovery,
-                  check_obt, functor_P, functor_Q, mu_tilde, roundtrip_PQ,
-                  roundtrip_QP)
+from .matched import (check_matched_pair, check_mp_over_A, functor_F, functor_G,
+                      obt_from_matched_pair, roundtrip_FG, roundtrip_GF)
+from .obt import (build_deformed_hopf, check_lemma_mu_recovery, check_obt,
+                  functor_P, functor_Q, mu_tilde, roundtrip_PQ, roundtrip_QP)
 from .report import AxiomReport
-from .skewbraces import (CayleyTable, SkewBraceData, builtin_group, check_group,
+from .skewbraces import (SkewBraceData, builtin_group, check_group,
                          check_skew_brace, enumerate_skew_braces,
                          groups_of_order, linearize)
-
-_KIND_TYPES = {
-    "hopf": HopfAlgebraData,
-    "brace": HopfBraceData,
-    "obt": OppBraceTripleData,
-    "matched_pair": MatchedPairData,
-    "group": CayleyTable,
-    "skew_brace": SkewBraceData,
-}
 
 _CHECKERS = {
     "hopf": check_hopf,
@@ -55,10 +45,9 @@ _CHECKERS = {
 
 def _load_as(path: str, kind: str):
     obj = storage.load(path)
-    expected = _KIND_TYPES[kind]
-    if not isinstance(obj, expected):
-        raise StorageError(
-            f"{path} holds a {storage.kind_of(obj)} file, expected {kind}")
+    found = storage.kind_of(obj)
+    if found != kind:
+        raise StorageError(f"{path} holds a {found} file, expected {kind}")
     return obj
 
 
@@ -196,8 +185,20 @@ def _suite_job(job) -> tuple[str, list[tuple[str, bool]]]:
     return (label, checks)
 
 
+def _requested_workers() -> int:
+    """BRACE_FORGE_THREADS as a worker count; 0 when unset or empty."""
+    raw = os.environ.get("BRACE_FORGE_THREADS", "").strip()
+    if not raw:
+        return 0
+    if not (raw.isascii() and raw.isdigit()):
+        raise ValueError(
+            f"BRACE_FORGE_THREADS must be a non-negative integer, got {raw!r}")
+    return int(raw)
+
+
 def _cmd_suite(args) -> int:
     field = parse_field(args.field)  # validates the field string early
+    requested = _requested_workers()
     rows: list[tuple[str, list[tuple[str, bool]]]] = []
     jobs = []
     for order in range(1, args.max_order + 1):
@@ -207,8 +208,7 @@ def _cmd_suite(args) -> int:
             for i, s in enumerate(enumerate_skew_braces(g)):
                 jobs.append((f"{g.label}#{i} {field.name}", s, args.field))
 
-    threads = os.environ.get("BRACE_FORGE_THREADS", "")
-    workers = int(threads) if threads.strip().isdigit() else 1
+    workers = min(requested, os.cpu_count() or 1, len(jobs))
     if workers > 1:
         import multiprocessing
 
@@ -241,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="run the axiom checker for a structure file")
-    p.add_argument("kind", choices=sorted(_KIND_TYPES))
+    p.add_argument("kind", choices=sorted(_CHECKERS))
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_check)

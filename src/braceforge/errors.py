@@ -27,10 +27,6 @@ class PrereqFailed(BraceForgeError):
         self.report = report
 
 
-class NotCommutative(BraceForgeError):
-    """Operation requires a commutative product."""
-
-
 class NotCocommutative(BraceForgeError):
     """Operation requires a cocommutative coproduct."""
 

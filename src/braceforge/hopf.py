@@ -64,6 +64,10 @@ class CoalgebraData:
         return self.counit.field
 
 
+# The structure maps of a Hopf algebra, in the order reports compare them.
+HOPF_MAPS = ("unit", "counit", "coproduct", "product", "antipode")
+
+
 @dataclass(frozen=True)
 class HopfAlgebraData:
     algebra: AlgebraData
@@ -256,7 +260,7 @@ def group_algebra(table: CayleyTable, field) -> HopfAlgebraData:
         raise NotAGroup("table fails the group axioms", grp)
     n, e = table.order, table.identity
     one = field.one()
-    space = Space(n, table.label)
+    space = Space(n)
     unit = LinMap(field, Space(1), space, {(e, 0): one})
     product = LinMap(field, Space(n * n), space,
                      {(table.table[a][b], a * n + b): one

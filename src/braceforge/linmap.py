@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 from .errors import DimensionMismatch, FieldMismatch
-from .report import CheckEntry
+from .report import AxiomReport, CheckEntry
 
 # ---------------------------------------------------------------------------
 # scalar fields
@@ -230,10 +230,9 @@ def parse_field(spec: str) -> Field:
 
 @dataclass(frozen=True)
 class Space:
-    """A based space known only by its dimension, with an optional label."""
+    """A based space known only by its dimension."""
 
     dim: int
-    label: str | None = None
 
     def __post_init__(self):
         if not isinstance(self.dim, int) or self.dim < 1:
@@ -241,9 +240,6 @@ class Space:
 
     def tensor(self, other: "Space") -> "Space":
         return Space(self.dim * other.dim)
-
-
-UNIT_SPACE = Space(1, "K")
 
 
 # ---------------------------------------------------------------------------
@@ -477,3 +473,10 @@ def equation_entry(name: str, lhs: LinMap, rhs: LinMap) -> CheckEntry:
     """Report entry for an exact map equation lhs = rhs."""
     ok, wit = equal(lhs, rhs)
     return CheckEntry(name, ok, wit)
+
+
+def componentwise(got, expected, names: Iterable[str]) -> AxiomReport:
+    """One equation entry per named structure map: got.name = expected.name."""
+    return AxiomReport([equation_entry(name, getattr(got, name),
+                                       getattr(expected, name))
+                        for name in names])

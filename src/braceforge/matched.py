@@ -13,12 +13,16 @@ from dataclasses import dataclass
 from .actions import (LeftModuleData, RightModuleData, check_left_module,
                       check_module_coalgebra, check_right_module,
                       check_right_module_coalgebra)
-from .brace import HopfBraceData, gamma, phi, require_valid_brace
+from .brace import BRACE_MAPS, HopfBraceData, gamma, phi, require_valid_brace
 from .errors import MpAxiomsFailed, NotCocommutative, NotDiagonal, PrereqFailed
-from .hopf import (AlgebraData, CoalgebraData, HopfAlgebraData, _check_map,
-                   check_hopf, is_cocommutative)
-from .linmap import LinMap, braiding, compose, equation_entry, tensor
+from .hopf import (HOPF_MAPS, HopfAlgebraData, _check_map, check_hopf,
+                   is_cocommutative)
+from .linmap import (LinMap, braiding, componentwise, compose, equation_entry,
+                     tensor)
 from .report import AxiomReport
+
+# The structure maps a matched pair adds to its two Hopf algebras.
+MP_EXTRA_MAPS = ("left_action", "right_action")
 
 
 @dataclass(frozen=True)
@@ -112,9 +116,7 @@ def check_matched_pair(m: MatchedPairData) -> AxiomReport:
 def _is_diagonal(m: MatchedPairData) -> bool:
     a, h = m.first, m.second
     return (a.space.dim == h.space.dim
-            and a.unit == h.unit and a.product == h.product
-            and a.counit == h.counit and a.coproduct == h.coproduct
-            and a.antipode == h.antipode)
+            and all(getattr(a, name) == getattr(h, name) for name in HOPF_MAPS))
 
 
 def check_mp_over_A(m: MatchedPairData) -> AxiomReport:
@@ -173,29 +175,14 @@ def functor_G(m: MatchedPairData) -> HopfBraceData:
 def roundtrip_FG(m: MatchedPairData) -> AxiomReport:
     """Componentwise equality of m and F(G(m))."""
     back = functor_F(functor_G(m))
-    rep = AxiomReport()
-    rep.append(equation_entry("unit", back.first.unit, m.first.unit))
-    rep.append(equation_entry("counit", back.first.counit, m.first.counit))
-    rep.append(equation_entry("coproduct", back.first.coproduct, m.first.coproduct))
-    rep.append(equation_entry("product", back.first.product, m.first.product))
-    rep.append(equation_entry("antipode", back.first.antipode, m.first.antipode))
-    rep.append(equation_entry("left_action", back.left_action, m.left_action))
-    rep.append(equation_entry("right_action", back.right_action, m.right_action))
+    rep = componentwise(back.first, m.first, HOPF_MAPS)
+    rep.merge(componentwise(back, m, MP_EXTRA_MAPS))
     return rep
 
 
 def roundtrip_GF(b: HopfBraceData) -> AxiomReport:
     """Componentwise equality of b and G(F(b))."""
-    back = functor_G(functor_F(b))
-    rep = AxiomReport()
-    rep.append(equation_entry("unit", back.unit, b.unit))
-    rep.append(equation_entry("counit", back.counit, b.counit))
-    rep.append(equation_entry("coproduct", back.coproduct, b.coproduct))
-    rep.append(equation_entry("product1", back.product1, b.product1))
-    rep.append(equation_entry("antipode1", back.antipode1, b.antipode1))
-    rep.append(equation_entry("product2", back.product2, b.product2))
-    rep.append(equation_entry("antipode2", back.antipode2, b.antipode2))
-    return rep
+    return componentwise(functor_G(functor_F(b)), b, BRACE_MAPS)
 
 
 def obt_from_matched_pair(m: MatchedPairData):

@@ -14,12 +14,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .brace import HopfBraceData, gamma, require_valid_brace
+from .brace import BRACE_MAPS, HopfBraceData, gamma, require_valid_brace
 from .errors import NotCocommutative, ObtAxiomsFailed, PrereqFailed
-from .hopf import (AlgebraData, CoalgebraData, HopfAlgebraData, _check_map,
-                   check_hopf, is_cocommutative, make_hopf)
-from .linmap import LinMap, braiding, compose, equation_entry, tensor
+from .hopf import (HOPF_MAPS, HopfAlgebraData, _check_map, check_hopf,
+                   is_cocommutative, make_hopf)
+from .linmap import (LinMap, braiding, componentwise, compose, equation_entry,
+                     tensor)
 from .report import AxiomReport
+
+# The structure maps a triple adds to its Hopf algebra.
+OBT_EXTRA_MAPS = ("action", "involution")
 
 
 @dataclass(frozen=True)
@@ -175,36 +179,16 @@ def functor_Q(b: HopfBraceData) -> OppBraceTripleData:
         hopf=b.second(), action=action, involution=b.antipode1)
 
 
-def _hopf_component_entries(rep: AxiomReport, got: HopfAlgebraData,
-                            expected: HopfAlgebraData) -> None:
-    rep.append(equation_entry("unit", got.unit, expected.unit))
-    rep.append(equation_entry("counit", got.counit, expected.counit))
-    rep.append(equation_entry("coproduct", got.coproduct, expected.coproduct))
-    rep.append(equation_entry("product", got.product, expected.product))
-    rep.append(equation_entry("antipode", got.antipode, expected.antipode))
-
-
 def roundtrip_PQ(b: HopfBraceData) -> AxiomReport:
     """Componentwise equality of b and P(Q(b))."""
-    back = functor_P(functor_Q(b))
-    rep = AxiomReport()
-    rep.append(equation_entry("unit", back.unit, b.unit))
-    rep.append(equation_entry("counit", back.counit, b.counit))
-    rep.append(equation_entry("coproduct", back.coproduct, b.coproduct))
-    rep.append(equation_entry("product1", back.product1, b.product1))
-    rep.append(equation_entry("antipode1", back.antipode1, b.antipode1))
-    rep.append(equation_entry("product2", back.product2, b.product2))
-    rep.append(equation_entry("antipode2", back.antipode2, b.antipode2))
-    return rep
+    return componentwise(functor_P(functor_Q(b)), b, BRACE_MAPS)
 
 
 def roundtrip_QP(t: OppBraceTripleData) -> AxiomReport:
     """Componentwise equality of t and Q(P(t))."""
     back = functor_Q(functor_P(t))
-    rep = AxiomReport()
-    _hopf_component_entries(rep, back.hopf, t.hopf)
-    rep.append(equation_entry("action", back.action, t.action))
-    rep.append(equation_entry("involution", back.involution, t.involution))
+    rep = componentwise(back.hopf, t.hopf, HOPF_MAPS)
+    rep.merge(componentwise(back, t, OBT_EXTRA_MAPS))
     return rep
 
 

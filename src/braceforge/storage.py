@@ -21,58 +21,49 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .brace import HopfBraceData
+from .brace import BRACE_MAPS, HopfBraceData
 from .errors import CanonicalFormError, ParseError, SchemaError, ShapeError
-from .hopf import HopfAlgebraData, make_hopf
+from .hopf import HOPF_MAPS, HopfAlgebraData, make_hopf
 from .linmap import LinMap, Space, parse_field
-from .matched import MatchedPairData
-from .obt import OppBraceTripleData
+from .matched import MP_EXTRA_MAPS, MatchedPairData
+from .obt import OBT_EXTRA_MAPS, OppBraceTripleData
 from .skewbraces import CayleyTable, SkewBraceData
 
 FORMAT = "braceforge/1"
 
-KINDS = ("hopf", "brace", "obt", "matched_pair", "group", "skew_brace")
+_TYPES = {
+    "hopf": HopfAlgebraData,
+    "brace": HopfBraceData,
+    "obt": OppBraceTripleData,
+    "matched_pair": MatchedPairData,
+    "group": CayleyTable,
+    "skew_brace": SkewBraceData,
+}
+KINDS = tuple(_TYPES)
 
-_HOPF_MAPS = ("unit", "product", "counit", "coproduct", "antipode")
-_BRACE_MAPS = ("unit", "counit", "coproduct",
-               "product1", "antipode1", "product2", "antipode2")
-_OBT_MAPS = _HOPF_MAPS + ("action", "involution")
-_MP_MAPS = tuple(f"first_{m}" for m in _HOPF_MAPS) + \
-    tuple(f"second_{m}" for m in _HOPF_MAPS) + ("left_action", "right_action")
 
-
-def _hopf_shapes(n: int) -> dict[str, tuple[int, int]]:
-    return {
-        "unit": (n, 1), "product": (n, n * n),
-        "counit": (1, n), "coproduct": (n * n, n), "antipode": (n, n),
-    }
+def _shapes(names: tuple[str, ...], n: int,
+            prefix: str = "") -> dict[str, tuple[int, int]]:
+    """(rows, cols) of each named map on an n-dimensional carrier."""
+    square, mult = (n, n), (n, n * n)
+    shape = {"unit": (n, 1), "counit": (1, n), "coproduct": (n * n, n),
+             "product": mult, "product1": mult, "product2": mult, "action": mult,
+             "antipode": square, "antipode1": square, "antipode2": square,
+             "involution": square}
+    return {prefix + name: shape[name] for name in names}
 
 
 def _map_shapes(kind: str, dims: dict[str, int]) -> dict[str, tuple[int, int]]:
     n = dims["dim"]
     if kind == "hopf":
-        return _hopf_shapes(n)
+        return _shapes(HOPF_MAPS, n)
     if kind == "brace":
-        base = _hopf_shapes(n)
-        return {
-            "unit": base["unit"], "counit": base["counit"],
-            "coproduct": base["coproduct"],
-            "product1": base["product"], "antipode1": base["antipode"],
-            "product2": base["product"], "antipode2": base["antipode"],
-        }
+        return _shapes(BRACE_MAPS, n)
     if kind == "obt":
-        shapes = _hopf_shapes(n)
-        shapes["action"] = (n, n * n)
-        shapes["involution"] = (n, n)
-        return shapes
-    if kind == "matched_pair":
-        nh = dims["dim_second"]
-        shapes = {f"first_{k}": v for k, v in _hopf_shapes(n).items()}
-        shapes.update({f"second_{k}": v for k, v in _hopf_shapes(nh).items()})
-        shapes["left_action"] = (n, nh * n)
-        shapes["right_action"] = (nh, nh * n)
-        return shapes
-    raise AssertionError(kind)
+        return _shapes(HOPF_MAPS + OBT_EXTRA_MAPS, n)
+    nh = dims["dim_second"]
+    return {**_shapes(HOPF_MAPS, n, "first_"), **_shapes(HOPF_MAPS, nh, "second_"),
+            "left_action": (n, nh * n), "right_action": (nh, nh * n)}
 
 
 # ---------------------------------------------------------------------------
@@ -200,31 +191,19 @@ def from_document(doc: Any):
               for name, shape in shapes.items()}
 
     if kind == "hopf":
-        h = make_hopf(parsed["unit"], parsed["product"], parsed["counit"],
-                      parsed["coproduct"], parsed["antipode"], meta)
-        return h
+        return make_hopf(**parsed, meta=meta)
     if kind == "brace":
-        return HopfBraceData(
-            space=Space(dims["dim"]),
-            unit=parsed["unit"], counit=parsed["counit"],
-            coproduct=parsed["coproduct"],
-            product1=parsed["product1"], antipode1=parsed["antipode1"],
-            product2=parsed["product2"], antipode2=parsed["antipode2"],
-            meta=meta)
+        return HopfBraceData(space=Space(dims["dim"]), **parsed, meta=meta)
     if kind == "obt":
-        h = make_hopf(parsed["unit"], parsed["product"], parsed["counit"],
-                      parsed["coproduct"], parsed["antipode"])
-        return OppBraceTripleData(hopf=h, action=parsed["action"],
-                                  involution=parsed["involution"], meta=meta)
-    first = make_hopf(parsed["first_unit"], parsed["first_product"],
-                      parsed["first_counit"], parsed["first_coproduct"],
-                      parsed["first_antipode"])
-    second = make_hopf(parsed["second_unit"], parsed["second_product"],
-                       parsed["second_counit"], parsed["second_coproduct"],
-                       parsed["second_antipode"])
-    return MatchedPairData(first=first, second=second,
-                           left_action=parsed["left_action"],
-                           right_action=parsed["right_action"], meta=meta)
+        hopf = _pop_hopf(parsed, "")
+        return OppBraceTripleData(hopf=hopf, **parsed, meta=meta)
+    first, second = _pop_hopf(parsed, "first_"), _pop_hopf(parsed, "second_")
+    return MatchedPairData(first=first, second=second, **parsed, meta=meta)
+
+
+def _pop_hopf(parsed: dict[str, LinMap], prefix: str) -> HopfAlgebraData:
+    """The Hopf component stored under prefix, removed from parsed."""
+    return make_hopf(**{name: parsed.pop(prefix + name) for name in HOPF_MAPS})
 
 
 # ---------------------------------------------------------------------------
@@ -235,29 +214,27 @@ def _dump_matrix(f: LinMap) -> list[list[str]]:
     return [[fmt(v) for v in row] for row in f.rows()]
 
 
-def _hopf_maps_doc(h: HopfAlgebraData, prefix: str = "") -> dict:
-    return {
-        f"{prefix}unit": _dump_matrix(h.unit),
-        f"{prefix}product": _dump_matrix(h.product),
-        f"{prefix}counit": _dump_matrix(h.counit),
-        f"{prefix}coproduct": _dump_matrix(h.coproduct),
-        f"{prefix}antipode": _dump_matrix(h.antipode),
-    }
+def _named(obj, names: tuple[str, ...], prefix: str = "") -> dict[str, LinMap]:
+    return {prefix + name: getattr(obj, name) for name in names}
+
+
+def _maps_of(kind: str, obj) -> dict[str, LinMap]:
+    """Every structure map of a map-bearing object, by document name."""
+    if kind == "hopf":
+        return _named(obj, HOPF_MAPS)
+    if kind == "brace":
+        return _named(obj, BRACE_MAPS)
+    if kind == "obt":
+        return {**_named(obj.hopf, HOPF_MAPS), **_named(obj, OBT_EXTRA_MAPS)}
+    return {**_named(obj.first, HOPF_MAPS, "first_"),
+            **_named(obj.second, HOPF_MAPS, "second_"),
+            **_named(obj, MP_EXTRA_MAPS)}
 
 
 def kind_of(obj) -> str:
-    if isinstance(obj, HopfAlgebraData):
-        return "hopf"
-    if isinstance(obj, HopfBraceData):
-        return "brace"
-    if isinstance(obj, OppBraceTripleData):
-        return "obt"
-    if isinstance(obj, MatchedPairData):
-        return "matched_pair"
-    if isinstance(obj, SkewBraceData):
-        return "skew_brace"
-    if isinstance(obj, CayleyTable):
-        return "group"
+    for kind, cls in _TYPES.items():
+        if isinstance(obj, cls):
+            return kind
     raise SchemaError(f"cannot store objects of type {type(obj).__name__}")
 
 
@@ -281,40 +258,13 @@ def to_document(obj) -> dict:
         doc["circ"] = [list(row) for row in obj.circ.table]
         return doc
 
-    if kind == "hopf":
-        doc["field"] = obj.field.name
-        doc["dim"] = obj.space.dim
-        doc["maps"] = _hopf_maps_doc(obj)
-        return doc
-    if kind == "brace":
-        doc["field"] = obj.field.name
-        doc["dim"] = obj.space.dim
-        doc["maps"] = {
-            "unit": _dump_matrix(obj.unit),
-            "counit": _dump_matrix(obj.counit),
-            "coproduct": _dump_matrix(obj.coproduct),
-            "product1": _dump_matrix(obj.product1),
-            "antipode1": _dump_matrix(obj.antipode1),
-            "product2": _dump_matrix(obj.product2),
-            "antipode2": _dump_matrix(obj.antipode2),
-        }
-        return doc
-    if kind == "obt":
-        doc["field"] = obj.field.name
-        doc["dim"] = obj.hopf.space.dim
-        maps = _hopf_maps_doc(obj.hopf)
-        maps["action"] = _dump_matrix(obj.action)
-        maps["involution"] = _dump_matrix(obj.involution)
-        doc["maps"] = maps
-        return doc
     doc["field"] = obj.field.name
-    doc["dim"] = obj.first.space.dim
-    doc["dim_second"] = obj.second.space.dim
-    maps = _hopf_maps_doc(obj.first, "first_")
-    maps.update(_hopf_maps_doc(obj.second, "second_"))
-    maps["left_action"] = _dump_matrix(obj.left_action)
-    maps["right_action"] = _dump_matrix(obj.right_action)
-    doc["maps"] = maps
+    if kind == "matched_pair":
+        doc["dim"] = obj.first.space.dim
+        doc["dim_second"] = obj.second.space.dim
+    else:
+        doc["dim"] = (obj.hopf if kind == "obt" else obj).space.dim
+    doc["maps"] = {name: _dump_matrix(f) for name, f in _maps_of(kind, obj).items()}
     return doc
 
 

@@ -5,9 +5,11 @@ import sys
 
 import pytest
 
-from braceforge import (LinMap, QQ, cyclic, group_algebra, make_hopf, save,
+from braceforge import (LinMap, QQ, cyclic, enumerate_skew_braces, functor_F,
+                        functor_Q, group_algebra, linearize, make_hopf, save,
                         symmetric_3, trivial_brace)
 from braceforge.cli import main
+from braceforge.storage import KINDS
 
 from mutants import dual_group_hopf
 
@@ -62,6 +64,26 @@ def test_check_wrong_kind_exits_2(files, capsys):
     code, _, err = run("check", "group", str(files["hopf"]), capsys=capsys)
     assert code == 2
     assert "expected group" in err
+
+
+def test_check_every_kind_rejects_every_other_kind(tmp_path, capsys):
+    s = enumerate_skew_braces(cyclic(4))[1]
+    b = linearize(s, QQ)
+    objs = {"hopf": group_algebra(cyclic(2), QQ), "brace": b,
+            "obt": functor_Q(b), "matched_pair": functor_F(b),
+            "group": cyclic(4), "skew_brace": s}
+    assert sorted(objs) == sorted(KINDS)
+    for kind, obj in objs.items():
+        save(obj, tmp_path / f"{kind}.json")
+    for kind in KINDS:
+        for other in KINDS:
+            if other == kind:
+                continue
+            path = tmp_path / f"{other}.json"
+            code, out, err = run("check", kind, str(path), capsys=capsys)
+            assert code == 2
+            assert out == ""
+            assert err == f"error: {path} holds a {other} file, expected {kind}\n"
 
 
 def test_check_missing_file_exits_2(files, capsys):
@@ -180,6 +202,64 @@ def test_suite_field_and_threads(capsys, monkeypatch):
     assert code == 0
     assert out.strip().splitlines()[-1] == \
         "suite: 6/6 pass (max order 3, field Fp:5)"
+    monkeypatch.delenv("BRACE_FORGE_THREADS")
+    assert run("suite", "--max-order", "3", "--field", "Fp:5",
+               capsys=capsys) == (0, out, "")
+
+
+@pytest.fixture()
+def pool_sizes(monkeypatch):
+    """Replace multiprocessing.Pool by a fake that records the requested
+    size and maps serially, so no worker process is started."""
+    import multiprocessing
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, items):
+            return [func(x) for x in items]
+
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    return sizes
+
+
+def test_suite_threads_capped_at_cpus_and_rows(capsys, monkeypatch, pool_sizes):
+    # --max-order 3 has three skew brace rows (Z1, Z2, Z3)
+    _, serial, _ = run("suite", "--max-order", "3", capsys=capsys)
+    monkeypatch.setenv("BRACE_FORGE_THREADS", "1000")
+    for cpus, expected in ((64, 3), (2, 2), (1, None), (None, None)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert run("suite", "--max-order", "3", capsys=capsys) == (0, serial, "")
+        assert pool_sizes[-1:] == ([expected] if expected else [])
+        pool_sizes.clear()
+
+
+@pytest.mark.parametrize("value", ["", " ", "0", "1"])
+def test_suite_threads_serial_values(value, capsys, monkeypatch, pool_sizes):
+    monkeypatch.setenv("BRACE_FORGE_THREADS", value)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    code, out, _ = run("suite", "--max-order", "2", capsys=capsys)
+    assert code == 0 and out.strip().endswith("suite: 4/4 pass (max order 2, field Q)")
+    assert pool_sizes == []
+
+
+@pytest.mark.parametrize("value", ["abc", "-2", "1.5", "2x", "\u0662"])
+def test_suite_bad_threads_exit_2(value, capsys, monkeypatch, pool_sizes):
+    monkeypatch.setenv("BRACE_FORGE_THREADS", value)
+    code, out, err = run("suite", "--max-order", "2", capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: BRACE_FORGE_THREADS must be a non-negative integer")
+    assert pool_sizes == []
 
 
 def test_bad_usage_exits_2():

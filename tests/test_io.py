@@ -1,14 +1,21 @@
+import hashlib
 import json
+import typing
 
 import pytest
 
-from braceforge import (CayleyTable, MatchedPairData, PrimeField, QQ,
+from braceforge import (CayleyTable, HopfAlgebraData, HopfBraceData, LinMap,
+                        MatchedPairData, OppBraceTripleData, PrimeField, QQ,
                         SkewBraceData, cyclic, dumps, enumerate_skew_braces,
                         functor_F, functor_Q, group_algebra, kind_of,
                         linearize, load, loads, save, symmetric_3,
                         to_document, trivial_brace)
+from braceforge.brace import BRACE_MAPS
 from braceforge.errors import (CanonicalFormError, ParseError, SchemaError,
                                ShapeError)
+from braceforge.hopf import HOPF_MAPS
+from braceforge.matched import MP_EXTRA_MAPS
+from braceforge.obt import OBT_EXTRA_MAPS
 
 from mutants import dual_group_hopf
 
@@ -35,6 +42,46 @@ def test_kind_of():
                      "matched_pair", "group", "skew_brace"]
     with pytest.raises(SchemaError):
         kind_of(42)
+
+
+def linmap_members(cls) -> list[str]:
+    """Names of the LinMap-typed fields and properties of a data class."""
+    names = [n for n, t in typing.get_type_hints(cls).items() if t is LinMap]
+    names += [n for n, v in vars(cls).items() if isinstance(v, property)
+              and typing.get_type_hints(v.fget).get("return") is LinMap]
+    return names
+
+
+def test_map_lists_name_every_structure_map():
+    assert sorted(linmap_members(HopfAlgebraData)) == sorted(HOPF_MAPS)
+    assert len(set(HOPF_MAPS)) == len(HOPF_MAPS)
+    assert linmap_members(HopfBraceData) == list(BRACE_MAPS)
+    assert linmap_members(OppBraceTripleData) == list(OBT_EXTRA_MAPS)
+    assert linmap_members(MatchedPairData) == list(MP_EXTRA_MAPS)
+
+
+# sha256 of dumps() for one object of each kind, frozen from an earlier
+# build so that a rewrite of the storage layer cannot change file bytes
+GOLDEN_SHA256 = {
+    "hopf": "45dc141fe26722ef2e7a4478e0a722c43d8924b4f9072a5a26f803cb811ad614",
+    "brace": "6fbb9e1cf9fb148ccf11219afcf1a5ce87cea55a591189b46a5fe833c3be1baa",
+    "obt": "9fcce61af41b062c499bcad2a29a79e47951a6238c6b0d0b6498f8d6ce496044",
+    "matched_pair": "168e1fd33dc0100340fe3d3cb9c4cbd62073aa320fd16e38c5a28a03efb49447",
+    "group": "d2ecd68356ff370d220b5a326c0c05fa07edfef809841c2eb633cfc94da18dc5",
+    "skew_brace": "b4778fb3b9ad029cc47eb9642024acfd44f9f12338a946bd77ea3f4334ae0e0b",
+}
+
+
+def test_dumps_bytes_are_frozen():
+    s = enumerate_skew_braces(cyclic(4))[1]
+    b = linearize(s, QQ)
+    objs = {"hopf": group_algebra(symmetric_3(), F5), "brace": b,
+            "obt": functor_Q(b), "matched_pair": functor_F(b),
+            "group": symmetric_3(), "skew_brace": s}
+    for kind, obj in objs.items():
+        assert kind_of(obj) == kind
+        digest = hashlib.sha256(dumps(obj).encode()).hexdigest()
+        assert digest == GOLDEN_SHA256[kind], kind
 
 
 def test_save_load_save_is_byte_identical(tmp_path):

@@ -2,10 +2,11 @@ import pytest
 
 from braceforge import (LinMap, MatchedPairData, QQ, braiding, check_hopf,
                         check_hopf_brace, check_matched_pair, check_mp_morphism,
-                        check_mp_over_A, compose, cyclic, functor_F, functor_G,
-                        functor_Q, gamma, group_algebra, linearize,
-                        obt_from_matched_pair, phi, psi, roundtrip_FG,
-                        roundtrip_GF, symmetric_3, tensor, trivial_brace)
+                        check_mp_over_A, compose, cyclic, enumerate_skew_braces,
+                        functor_F, functor_G, functor_Q, gamma, group_algebra,
+                        linearize, obt_from_matched_pair, phi, psi,
+                        roundtrip_FG, roundtrip_GF, roundtrip_PQ, roundtrip_QP,
+                        symmetric_3, tensor, trivial_brace)
 from braceforge.errors import (MpAxiomsFailed, NotCocommutative, NotDiagonal,
                                PrereqFailed)
 
@@ -207,3 +208,16 @@ def test_mp_morphism_mismatched_pair_fails():
     rep = check_mp_morphism(ident, shift, m, m)
     assert not rep.ok
     assert not rep.entry("second.algebra.unit").passed
+
+
+def test_roundtrip_entry_names_and_order():
+    b = linearize(enumerate_skew_braces(symmetric_3())[4], QQ)
+    hopf = ["unit", "counit", "coproduct", "product", "antipode"]
+    brace = ["unit", "counit", "coproduct",
+             "product1", "antipode1", "product2", "antipode2"]
+    for rep, expected in ((roundtrip_PQ(b), brace),
+                          (roundtrip_QP(functor_Q(b)), hopf + ["action", "involution"]),
+                          (roundtrip_FG(functor_F(b)), hopf + ["left_action", "right_action"]),
+                          (roundtrip_GF(b), brace)):
+        assert rep.ok
+        assert [e.name for e in rep.entries] == expected
