@@ -42,28 +42,28 @@ def check_left_module(m: LeftModuleData) -> AxiomReport:
     h, field = m.hopf, m.hopf.field
     id_m = LinMap.identity(field, m.carrier)
     id_h = LinMap.identity(field, h.space)
-    rep = AxiomReport()
-    rep.append(equation_entry(
-        "action.unit", compose(m.action, tensor(h.unit, id_m)), id_m))
-    rep.append(equation_entry(
-        "action.product",
-        compose(m.action, tensor(id_h, m.action)),
-        compose(m.action, tensor(h.product, id_m))))
-    return rep
+    return AxiomReport((
+        equation_entry(
+            "action.unit", compose(m.action, tensor(h.unit, id_m)), id_m),
+        equation_entry(
+            "action.product",
+            compose(m.action, tensor(id_h, m.action)),
+            compose(m.action, tensor(h.product, id_m))),
+    ))
 
 
 def check_right_module(m: RightModuleData) -> AxiomReport:
     h, field = m.hopf, m.hopf.field
     id_m = LinMap.identity(field, m.carrier)
     id_h = LinMap.identity(field, h.space)
-    rep = AxiomReport()
-    rep.append(equation_entry(
-        "action.unit", compose(m.action, tensor(id_m, h.unit)), id_m))
-    rep.append(equation_entry(
-        "action.product",
-        compose(m.action, tensor(m.action, id_h)),
-        compose(m.action, tensor(id_m, h.product))))
-    return rep
+    return AxiomReport((
+        equation_entry(
+            "action.unit", compose(m.action, tensor(id_m, h.unit)), id_m),
+        equation_entry(
+            "action.product",
+            compose(m.action, tensor(m.action, id_h)),
+            compose(m.action, tensor(id_m, h.product))),
+    ))
 
 
 def left_tensor_square_action(m: LeftModuleData) -> LinMap:
@@ -88,21 +88,20 @@ def right_tensor_square_action(m: RightModuleData) -> LinMap:
 
 def check_module_algebra(m: LeftModuleData, alg: AlgebraData) -> AxiomReport:
     """The action respects a carrier algebra: units absorb, products distribute."""
-    base = check_left_module(m)
-    if not base.ok:
-        raise PrereqFailed("module-algebra check is gated on check_left_module", base)
+    check_left_module(m).require(
+        PrereqFailed, "module-algebra check is gated on check_left_module")
     h, field = m.hopf, m.hopf.field
     id_h = LinMap.identity(field, h.space)
-    rep = AxiomReport()
-    rep.append(equation_entry(
-        "carrier_unit",
-        compose(m.action, tensor(id_h, alg.unit)),
-        compose(alg.unit, h.counit)))
-    rep.append(equation_entry(
-        "carrier_product",
-        compose(m.action, tensor(id_h, alg.product)),
-        compose(alg.product, left_tensor_square_action(m))))
-    return rep
+    return AxiomReport((
+        equation_entry(
+            "carrier_unit",
+            compose(m.action, tensor(id_h, alg.unit)),
+            compose(alg.unit, h.counit)),
+        equation_entry(
+            "carrier_product",
+            compose(m.action, tensor(id_h, alg.product)),
+            compose(alg.product, left_tensor_square_action(m))),
+    ))
 
 
 def check_module_coalgebra(m: LeftModuleData, coa: CoalgebraData) -> AxiomReport:
@@ -112,63 +111,59 @@ def check_module_coalgebra(m: LeftModuleData, coa: CoalgebraData) -> AxiomReport
     as "the action is a coalgebra morphism", plus a cross-assertion that
     the two routes agreed.
     """
-    base = check_left_module(m)
-    if not base.ok:
-        raise PrereqFailed("module-coalgebra check is gated on check_left_module", base)
+    check_left_module(m).require(
+        PrereqFailed, "module-coalgebra check is gated on check_left_module")
     h, field = m.hopf, m.hopf.field
     id_m = LinMap.identity(field, m.carrier)
     id_h = LinMap.identity(field, h.space)
-    rep = AxiomReport()
     counit = equation_entry(
         "carrier_counit",
         compose(coa.counit, m.action),
         tensor(h.counit, coa.counit))
-    rep.append(counit)
     coproduct_after = compose(coa.coproduct, m.action)
     via_square = compose(left_tensor_square_action(m), tensor(id_h, coa.coproduct))
-    rep.append(equation_entry("carrier_coproduct", coproduct_after, via_square))
     # same axiom stated as: the action is a coalgebra morphism from H (x) C to C;
     # its counit half is the same equation as carrier_counit
     via_morphism = compose(
         tensor(m.action, m.action),
         tensor(id_h, braiding(field, h.space, m.carrier), id_m),
         tensor(h.coproduct, coa.coproduct))
-    rep.append(replace(counit, name="morphism_counit"))
-    rep.append(equation_entry("morphism_coproduct", coproduct_after, via_morphism))
-    rep.append(equation_entry("routes_agree", via_square, via_morphism))
-    return rep
+    return AxiomReport((
+        counit,
+        equation_entry("carrier_coproduct", coproduct_after, via_square),
+        replace(counit, name="morphism_counit"),
+        equation_entry("morphism_coproduct", coproduct_after, via_morphism),
+        equation_entry("routes_agree", via_square, via_morphism),
+    ))
 
 
 def check_right_module_coalgebra(m: RightModuleData, coa: CoalgebraData) -> AxiomReport:
     """Right-handed mirror of check_module_coalgebra."""
-    base = check_right_module(m)
-    if not base.ok:
-        raise PrereqFailed("module-coalgebra check is gated on check_right_module", base)
+    check_right_module(m).require(
+        PrereqFailed, "module-coalgebra check is gated on check_right_module")
     h, field = m.hopf, m.hopf.field
     id_m = LinMap.identity(field, m.carrier)
     id_h = LinMap.identity(field, h.space)
-    rep = AxiomReport()
-    rep.append(equation_entry(
-        "carrier_counit",
-        compose(coa.counit, m.action),
-        tensor(coa.counit, h.counit)))
     coproduct_after = compose(coa.coproduct, m.action)
     via_square = compose(right_tensor_square_action(m), tensor(coa.coproduct, id_h))
-    rep.append(equation_entry("carrier_coproduct", coproduct_after, via_square))
     via_morphism = compose(
         tensor(m.action, m.action),
         tensor(id_m, braiding(field, m.carrier, h.space), id_h),
         tensor(coa.coproduct, h.coproduct))
-    rep.append(equation_entry("morphism_coproduct", coproduct_after, via_morphism))
-    rep.append(equation_entry("routes_agree", via_square, via_morphism))
-    return rep
+    return AxiomReport((
+        equation_entry(
+            "carrier_counit",
+            compose(coa.counit, m.action),
+            tensor(coa.counit, h.counit)),
+        equation_entry("carrier_coproduct", coproduct_after, via_square),
+        equation_entry("morphism_coproduct", coproduct_after, via_morphism),
+        equation_entry("routes_agree", via_square, via_morphism),
+    ))
 
 
 def adjoint_action(h: HopfAlgebraData) -> LeftModuleData:
     """H acting on itself by the antipode-twisted sandwich action."""
-    base = check_hopf(h)
-    if not base.ok:
-        raise PrereqFailed("adjoint action is gated on check_hopf", base)
+    check_hopf(h).require(PrereqFailed, "adjoint action is gated on check_hopf")
     field, space = h.field, h.space
     id_h = LinMap.identity(field, space)
     action = compose(

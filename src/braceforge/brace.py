@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .errors import BraceAxiomsFailed, NotCocommutative, PrereqFailed
 from .hopf import (AlgebraData, CoalgebraData, HopfAlgebraData, _check_map,
-                   check_hopf, is_cocommutative)
+                   check_hopf, check_hopf_morphism, is_cocommutative)
 from .linmap import LinMap, Space, braiding, compose, equation_entry, tensor
 from .report import AxiomReport
 
@@ -72,9 +72,8 @@ def gamma(b: HopfBraceData) -> LinMap:
 
 def check_hopf_brace(b: HopfBraceData) -> AxiomReport:
     """Both Hopf structures plus the product compatibility law."""
-    rep = AxiomReport()
-    rep.merge(check_hopf(b.first()), "first.")
-    rep.merge(check_hopf(b.second()), "second.")
+    first = check_hopf(b.first()).prefixed("first.")
+    second = check_hopf(b.second()).prefixed("second.")
     field, space = b.field, b.space
     id_h = LinMap.identity(field, space)
     swap = braiding(field, space, space)
@@ -84,8 +83,7 @@ def check_hopf_brace(b: HopfBraceData) -> AxiomReport:
         tensor(b.product2, gamma(b)),
         tensor(id_h, swap, id_h),
         tensor(b.coproduct, id_h, id_h))
-    rep.append(equation_entry("compatibility", lhs, rhs))
-    return rep
+    return AxiomReport((*first, *second, equation_entry("compatibility", lhs, rhs)))
 
 
 def phi(b: HopfBraceData) -> LinMap:
@@ -110,39 +108,36 @@ def check_brace_identities(b: HopfBraceData) -> AxiomReport:
     - exchanging the first antipode through the action,
     - each product recovered from the other one and the action.
     """
-    base = check_hopf_brace(b)
-    if not base.ok:
-        raise PrereqFailed("identities are gated on check_hopf_brace", base)
+    check_hopf_brace(b).require(
+        PrereqFailed, "identities are gated on check_hopf_brace")
     field, space = b.field, b.space
     id_h = LinMap.identity(field, space)
     swap = braiding(field, space, space)
     g = gamma(b)
-    rep = AxiomReport()
-    rep.append(equation_entry(
-        "action_antipode_exchange",
-        compose(g, tensor(id_h, b.antipode1)),
-        compose(b.product1,
-                tensor(compose(b.antipode1, b.product2), id_h),
-                tensor(id_h, swap),
-                tensor(b.coproduct, id_h))))
-    rep.append(equation_entry(
-        "product2_from_action",
-        b.product2,
-        compose(b.product1, tensor(id_h, g), tensor(b.coproduct, id_h))))
-    rep.append(equation_entry(
-        "product1_from_action",
-        b.product1,
-        compose(b.product2,
-                tensor(id_h, compose(g, tensor(b.antipode2, id_h))),
-                tensor(b.coproduct, id_h))))
-    return rep
+    return AxiomReport((
+        equation_entry(
+            "action_antipode_exchange",
+            compose(g, tensor(id_h, b.antipode1)),
+            compose(b.product1,
+                    tensor(compose(b.antipode1, b.product2), id_h),
+                    tensor(id_h, swap),
+                    tensor(b.coproduct, id_h))),
+        equation_entry(
+            "product2_from_action",
+            b.product2,
+            compose(b.product1, tensor(id_h, g), tensor(b.coproduct, id_h))),
+        equation_entry(
+            "product1_from_action",
+            b.product1,
+            compose(b.product2,
+                    tensor(id_h, compose(g, tensor(b.antipode2, id_h))),
+                    tensor(b.coproduct, id_h))),
+    ))
 
 
 def trivial_brace(h: HopfAlgebraData) -> HopfBraceData:
     """Both structures equal to the given Hopf algebra."""
-    base = check_hopf(h)
-    if not base.ok:
-        raise PrereqFailed("trivial brace is gated on check_hopf", base)
+    check_hopf(h).require(PrereqFailed, "trivial brace is gated on check_hopf")
     return HopfBraceData(
         space=h.space, unit=h.unit, counit=h.counit, coproduct=h.coproduct,
         product1=h.product, antipode1=h.antipode,
@@ -153,20 +148,16 @@ def check_brace_morphism(f: LinMap, src: HopfBraceData,
                          dst: HopfBraceData) -> AxiomReport:
     """f is a Hopf morphism for both structures; action compatibility
     f o gamma = gamma o (f (x) f) follows and is reported as derived."""
-    from .hopf import check_hopf_morphism
-
-    rep = AxiomReport()
-    rep.merge(check_hopf_morphism(f, src.first(), dst.first()), "first.")
-    rep.merge(check_hopf_morphism(f, src.second(), dst.second()), "second.")
-    rep.append(equation_entry(
-        "derived.action",
-        compose(f, gamma(src)),
-        compose(gamma(dst), tensor(f, f))))
-    return rep
+    return AxiomReport((
+        *check_hopf_morphism(f, src.first(), dst.first()).prefixed("first."),
+        *check_hopf_morphism(f, src.second(), dst.second()).prefixed("second."),
+        equation_entry(
+            "derived.action",
+            compose(f, gamma(src)),
+            compose(gamma(dst), tensor(f, f))),
+    ))
 
 
 def require_valid_brace(b: HopfBraceData) -> None:
     """Raise BraceAxiomsFailed unless b passes check_hopf_brace."""
-    rep = check_hopf_brace(b)
-    if not rep.ok:
-        raise BraceAxiomsFailed("hopf brace axioms fail", rep)
+    check_hopf_brace(b).require(BraceAxiomsFailed, "hopf brace axioms fail")

@@ -197,6 +197,8 @@ def _requested_workers() -> int:
 
 
 def _cmd_suite(args) -> int:
+    if args.max_order < 1:
+        raise ValueError(f"--max-order must be at least 1, got {args.max_order}")
     field = parse_field(args.field)  # validates the field string early
     requested = _requested_workers()
     rows: list[tuple[str, list[tuple[str, bool]]]] = []
@@ -291,7 +293,7 @@ def main(argv=None) -> int:
         return 2
     except (_AxiomsFailed, NotAGroup) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if getattr(exc, "report", None) is not None:
+        if exc.report is not None:
             print(exc.report, file=sys.stderr)
         return 1
     except (NotCocommutative, NotDiagonal, PrereqFailed, OrderTooLarge) as exc:

@@ -19,12 +19,16 @@ class FieldMismatch(BraceForgeError):
     """Operands carry different scalar fields."""
 
 
-class PrereqFailed(BraceForgeError):
-    """A gated operation was called on data that fails its prerequisite checks."""
+class _Reported(BraceForgeError):
+    """Base for errors raised by AxiomReport.require, the report attached."""
 
     def __init__(self, message: str, report=None):
         super().__init__(message)
         self.report = report
+
+
+class PrereqFailed(_Reported):
+    """A gated operation was called on data that fails its prerequisite checks."""
 
 
 class NotCocommutative(BraceForgeError):
@@ -35,24 +39,16 @@ class NotDiagonal(BraceForgeError):
     """Operation requires both Hopf components of a matched pair to coincide."""
 
 
-class NotAGroup(BraceForgeError):
+class NotAGroup(_Reported):
     """A Cayley table fails the group axioms."""
-
-    def __init__(self, message: str, report=None):
-        super().__init__(message)
-        self.report = report
 
 
 class OrderTooLarge(BraceForgeError):
     """Enumeration requested beyond the guarded order bound."""
 
 
-class _AxiomsFailed(BraceForgeError):
+class _AxiomsFailed(_Reported):
     """Base for gated constructions rejecting invalid input, report attached."""
-
-    def __init__(self, message: str, report=None):
-        super().__init__(message)
-        self.report = report
 
 
 class SkewBraceAxiomsFailed(_AxiomsFailed):

@@ -126,31 +126,31 @@ def make_hopf(unit: LinMap, product: LinMap, counit: LinMap, coproduct: LinMap,
 def check_algebra(a: AlgebraData) -> AxiomReport:
     field, space = a.field, a.space
     ident = LinMap.identity(field, space)
-    rep = AxiomReport()
-    rep.append(equation_entry(
-        "unit.left", compose(a.product, tensor(a.unit, ident)), ident))
-    rep.append(equation_entry(
-        "unit.right", compose(a.product, tensor(ident, a.unit)), ident))
-    rep.append(equation_entry(
-        "associativity",
-        compose(a.product, tensor(a.product, ident)),
-        compose(a.product, tensor(ident, a.product))))
-    return rep
+    return AxiomReport((
+        equation_entry(
+            "unit.left", compose(a.product, tensor(a.unit, ident)), ident),
+        equation_entry(
+            "unit.right", compose(a.product, tensor(ident, a.unit)), ident),
+        equation_entry(
+            "associativity",
+            compose(a.product, tensor(a.product, ident)),
+            compose(a.product, tensor(ident, a.product))),
+    ))
 
 
 def check_coalgebra(c: CoalgebraData) -> AxiomReport:
     field, space = c.field, c.space
     ident = LinMap.identity(field, space)
-    rep = AxiomReport()
-    rep.append(equation_entry(
-        "counit.left", compose(tensor(c.counit, ident), c.coproduct), ident))
-    rep.append(equation_entry(
-        "counit.right", compose(tensor(ident, c.counit), c.coproduct), ident))
-    rep.append(equation_entry(
-        "coassociativity",
-        compose(tensor(c.coproduct, ident), c.coproduct),
-        compose(tensor(ident, c.coproduct), c.coproduct)))
-    return rep
+    return AxiomReport((
+        equation_entry(
+            "counit.left", compose(tensor(c.counit, ident), c.coproduct), ident),
+        equation_entry(
+            "counit.right", compose(tensor(ident, c.counit), c.coproduct), ident),
+        equation_entry(
+            "coassociativity",
+            compose(tensor(c.coproduct, ident), c.coproduct),
+            compose(tensor(ident, c.coproduct), c.coproduct)),
+    ))
 
 
 def convolve(f: LinMap, g: LinMap, c: CoalgebraData, a: AlgebraData) -> LinMap:
@@ -169,32 +169,32 @@ def check_hopf(h: HopfAlgebraData) -> AxiomReport:
     ident = LinMap.identity(field, space)
     id_k = LinMap.identity(field, Space(1))
     swap = braiding(field, space, space)
-    rep = AxiomReport()
-    rep.merge(check_algebra(h.algebra), "algebra.")
-    rep.merge(check_coalgebra(h.coalgebra), "coalgebra.")
-    # unit and product are coalgebra morphisms
-    rep.append(equation_entry(
-        "bialgebra.unit.counit", compose(h.counit, h.unit), id_k))
-    rep.append(equation_entry(
-        "bialgebra.unit.coproduct",
-        compose(h.coproduct, h.unit), tensor(h.unit, h.unit)))
-    rep.append(equation_entry(
-        "bialgebra.product.counit",
-        compose(h.counit, h.product), tensor(h.counit, h.counit)))
-    rep.append(equation_entry(
-        "bialgebra.product.coproduct",
-        compose(h.coproduct, h.product),
-        compose(tensor(h.product, h.product),
-                tensor(ident, swap, ident),
-                tensor(h.coproduct, h.coproduct))))
     neutral = convolution_unit(h.coalgebra, h.algebra)
-    rep.append(equation_entry(
-        "antipode.left",
-        convolve(h.antipode, ident, h.coalgebra, h.algebra), neutral))
-    rep.append(equation_entry(
-        "antipode.right",
-        convolve(ident, h.antipode, h.coalgebra, h.algebra), neutral))
-    return rep
+    return AxiomReport((
+        *check_algebra(h.algebra).prefixed("algebra."),
+        *check_coalgebra(h.coalgebra).prefixed("coalgebra."),
+        # unit and product are coalgebra morphisms
+        equation_entry(
+            "bialgebra.unit.counit", compose(h.counit, h.unit), id_k),
+        equation_entry(
+            "bialgebra.unit.coproduct",
+            compose(h.coproduct, h.unit), tensor(h.unit, h.unit)),
+        equation_entry(
+            "bialgebra.product.counit",
+            compose(h.counit, h.product), tensor(h.counit, h.counit)),
+        equation_entry(
+            "bialgebra.product.coproduct",
+            compose(h.coproduct, h.product),
+            compose(tensor(h.product, h.product),
+                    tensor(ident, swap, ident),
+                    tensor(h.coproduct, h.coproduct))),
+        equation_entry(
+            "antipode.left",
+            convolve(h.antipode, ident, h.coalgebra, h.algebra), neutral),
+        equation_entry(
+            "antipode.right",
+            convolve(ident, h.antipode, h.coalgebra, h.algebra), neutral),
+    ))
 
 
 def is_commutative(h: HopfAlgebraData) -> bool:
@@ -213,27 +213,27 @@ def check_antipode_properties(h: HopfAlgebraData) -> AxiomReport:
     The involution entry is only meaningful (and only emitted) when the
     product is commutative or the coproduct is cocommutative.
     """
-    base = check_hopf(h)
-    if not base.ok:
-        raise PrereqFailed("antipode properties are gated on check_hopf", base)
+    check_hopf(h).require(PrereqFailed,
+                          "antipode properties are gated on check_hopf")
     field, space = h.field, h.space
     ident = LinMap.identity(field, space)
     swap = braiding(field, space, space)
     lam = h.antipode
-    rep = AxiomReport()
-    rep.append(equation_entry(
-        "antimultiplicative",
-        compose(lam, h.product),
-        compose(h.product, swap, tensor(lam, lam))))
-    rep.append(equation_entry(
-        "anticomultiplicative",
-        compose(h.coproduct, lam),
-        compose(tensor(lam, lam), swap, h.coproduct)))
-    rep.append(equation_entry("unit", compose(lam, h.unit), h.unit))
-    rep.append(equation_entry("counit", compose(h.counit, lam), h.counit))
+    entries = (
+        equation_entry(
+            "antimultiplicative",
+            compose(lam, h.product),
+            compose(h.product, swap, tensor(lam, lam))),
+        equation_entry(
+            "anticomultiplicative",
+            compose(h.coproduct, lam),
+            compose(tensor(lam, lam), swap, h.coproduct)),
+        equation_entry("unit", compose(lam, h.unit), h.unit),
+        equation_entry("counit", compose(h.counit, lam), h.counit),
+    )
     if is_commutative(h) or is_cocommutative(h):
-        rep.append(equation_entry("involution", compose(lam, lam), ident))
-    return rep
+        entries += (equation_entry("involution", compose(lam, lam), ident),)
+    return AxiomReport(entries)
 
 
 def opposite_hopf(h: HopfAlgebraData) -> HopfAlgebraData:
@@ -255,9 +255,7 @@ def opposite_hopf(h: HopfAlgebraData) -> HopfAlgebraData:
 def group_algebra(table: CayleyTable, field) -> HopfAlgebraData:
     """The group algebra over an exact field: basis = group elements,
     group-like coproduct, antipode = inversion."""
-    grp = check_group(table)
-    if not grp.ok:
-        raise NotAGroup("table fails the group axioms", grp)
+    check_group(table).require(NotAGroup, "table fails the group axioms")
     n, e = table.order, table.identity
     one = field.one()
     space = Space(n)
@@ -284,13 +282,13 @@ def check_hopf_morphism(f: LinMap, src: HopfAlgebraData,
     """
     _check_map(f, src.space.dim, dst.space.dim, src.field, "morphism")
     ff = tensor(f, f)
-    rep = AxiomReport()
-    rep.append(equation_entry("algebra.unit", compose(f, src.unit), dst.unit))
-    rep.append(equation_entry(
-        "algebra.product", compose(f, src.product), compose(dst.product, ff)))
-    rep.append(equation_entry("coalgebra.counit", compose(dst.counit, f), src.counit))
-    rep.append(equation_entry(
-        "coalgebra.coproduct", compose(dst.coproduct, f), compose(ff, src.coproduct)))
-    rep.append(equation_entry(
-        "derived.antipode", compose(dst.antipode, f), compose(f, src.antipode)))
-    return rep
+    return AxiomReport((
+        equation_entry("algebra.unit", compose(f, src.unit), dst.unit),
+        equation_entry(
+            "algebra.product", compose(f, src.product), compose(dst.product, ff)),
+        equation_entry("coalgebra.counit", compose(dst.counit, f), src.counit),
+        equation_entry(
+            "coalgebra.coproduct", compose(dst.coproduct, f), compose(ff, src.coproduct)),
+        equation_entry(
+            "derived.antipode", compose(dst.antipode, f), compose(f, src.antipode)),
+    ))

@@ -219,7 +219,7 @@ def parse_field(spec: str) -> Field:
         return QQ
     if spec.startswith("Fp:"):
         body = spec[3:]
-        if not body.isdigit() or (body != "0" and body[0] == "0") or body == "":
+        if not body.isdigit() or (body != "0" and body[0] == "0"):
             raise ValueError(f"bad field spec: {spec!r}")
         return PrimeField(int(body))
     raise ValueError(f"bad field spec: {spec!r}")
@@ -363,6 +363,16 @@ def _require_same_field(*maps: LinMap) -> Field:
     return field
 
 
+def _raw(field: Field, domain: Space, codomain: Space, nz: dict) -> LinMap:
+    """A LinMap around nonzero entries already in range and in the field."""
+    out = LinMap.__new__(LinMap)
+    object.__setattr__(out, "field", field)
+    object.__setattr__(out, "domain", domain)
+    object.__setattr__(out, "codomain", codomain)
+    object.__setattr__(out, "_nz", nz)
+    return out
+
+
 def compose(*maps: LinMap) -> LinMap:
     """Composite m1 o m2 o ... o mk (rightmost applies first)."""
     if not maps:
@@ -393,13 +403,8 @@ def _compose2(f: LinMap, g: LinMap) -> LinMap:
             prev = acc.get(key)
             acc[key] = mul(vf, vg) if prev is None else add(prev, mul(vf, vg))
     zero = field.zero()
-    nz = {k: v for k, v in acc.items() if v != zero}
-    out = LinMap.__new__(LinMap)
-    object.__setattr__(out, "field", field)
-    object.__setattr__(out, "domain", g.domain)
-    object.__setattr__(out, "codomain", f.codomain)
-    object.__setattr__(out, "_nz", nz)
-    return out
+    return _raw(field, g.domain, f.codomain,
+                {k: v for k, v in acc.items() if v != zero})
 
 
 def tensor(*maps: LinMap) -> LinMap:
@@ -421,12 +426,7 @@ def _tensor2(f: LinMap, g: LinMap) -> LinMap:
     for (fi, fj), fv in f._nz.items():
         for (gi, gj), gv in g._nz.items():
             nz[(fi * gc + gi, fj * gd + gj)] = mul(fv, gv)
-    out = LinMap.__new__(LinMap)
-    object.__setattr__(out, "field", field)
-    object.__setattr__(out, "domain", Space(f.domain.dim * gd))
-    object.__setattr__(out, "codomain", Space(f.codomain.dim * gc))
-    object.__setattr__(out, "_nz", nz)
-    return out
+    return _raw(field, Space(f.domain.dim * gd), Space(f.codomain.dim * gc), nz)
 
 
 def braiding(field: Field, a: Space, b: Space) -> LinMap:
@@ -477,6 +477,6 @@ def equation_entry(name: str, lhs: LinMap, rhs: LinMap) -> CheckEntry:
 
 def componentwise(got, expected, names: Iterable[str]) -> AxiomReport:
     """One equation entry per named structure map: got.name = expected.name."""
-    return AxiomReport([equation_entry(name, getattr(got, name),
-                                       getattr(expected, name))
-                        for name in names])
+    return AxiomReport(equation_entry(name, getattr(got, name),
+                                      getattr(expected, name))
+                       for name in names)

@@ -16,9 +16,10 @@ from .actions import (LeftModuleData, RightModuleData, check_left_module,
 from .brace import BRACE_MAPS, HopfBraceData, gamma, phi, require_valid_brace
 from .errors import MpAxiomsFailed, NotCocommutative, NotDiagonal, PrereqFailed
 from .hopf import (HOPF_MAPS, HopfAlgebraData, _check_map, check_hopf,
-                   is_cocommutative)
+                   check_hopf_morphism, is_cocommutative)
 from .linmap import (LinMap, braiding, componentwise, compose, equation_entry,
                      tensor)
+from .obt import OppBraceTripleData
 from .report import AxiomReport
 
 # The structure maps a matched pair adds to its two Hopf algebras.
@@ -70,47 +71,49 @@ def check_matched_pair(m: MatchedPairData) -> AxiomReport:
     """
     a, h, field = m.first, m.second, m.field
     for name, component in (("first", a), ("second", h)):
-        base = check_hopf(component)
-        if not base.ok:
-            raise PrereqFailed(f"{name} component fails the Hopf axioms", base)
+        check_hopf(component).require(
+            PrereqFailed, f"{name} component fails the Hopf axioms")
     id_a = LinMap.identity(field, a.space)
     id_h = LinMap.identity(field, h.space)
-    rep = AxiomReport()
     left = LeftModuleData(hopf=h, carrier=a.space, action=m.left_action)
     left_rep = check_left_module(left)
-    rep.merge(left_rep, "i.left_module.")
+    left_entries = left_rep.prefixed("i.left_module.")
     if left_rep.ok:
-        rep.merge(check_module_coalgebra(left, a.coalgebra), "i.left_module.")
+        left_entries += check_module_coalgebra(
+            left, a.coalgebra).prefixed("i.left_module.")
     right = RightModuleData(hopf=a, carrier=h.space, action=m.right_action)
     right_rep = check_right_module(right)
-    rep.merge(right_rep, "i.right_module.")
+    right_entries = right_rep.prefixed("i.right_module.")
     if right_rep.ok:
-        rep.merge(check_right_module_coalgebra(right, h.coalgebra),
-                  "i.right_module.")
-    rep.append(equation_entry(
-        "ii",
-        compose(m.left_action, tensor(id_h, a.unit)),
-        compose(a.unit, h.counit)))
-    rep.append(equation_entry(
-        "iii",
-        compose(m.right_action, tensor(h.unit, id_a)),
-        compose(h.unit, a.counit)))
+        right_entries += check_right_module_coalgebra(
+            right, h.coalgebra).prefixed("i.right_module.")
     ps = psi(m)
-    rep.append(equation_entry(
-        "iv",
-        compose(m.left_action, tensor(id_h, a.product)),
-        compose(a.product, tensor(id_a, m.left_action), tensor(ps, id_a))))
-    rep.append(equation_entry(
-        "v",
-        compose(m.right_action, tensor(h.product, id_a)),
-        compose(h.product, tensor(m.right_action, id_h), tensor(id_h, ps))))
-    rep.append(equation_entry(
-        "vi",
-        compose(braiding(field, a.space, h.space), ps),
-        compose(tensor(m.right_action, m.left_action),
-                tensor(id_h, braiding(field, h.space, a.space), id_a),
-                tensor(h.coproduct, a.coproduct))))
-    return rep
+    return AxiomReport((
+        *left_entries,
+        *right_entries,
+        equation_entry(
+            "ii",
+            compose(m.left_action, tensor(id_h, a.unit)),
+            compose(a.unit, h.counit)),
+        equation_entry(
+            "iii",
+            compose(m.right_action, tensor(h.unit, id_a)),
+            compose(h.unit, a.counit)),
+        equation_entry(
+            "iv",
+            compose(m.left_action, tensor(id_h, a.product)),
+            compose(a.product, tensor(id_a, m.left_action), tensor(ps, id_a))),
+        equation_entry(
+            "v",
+            compose(m.right_action, tensor(h.product, id_a)),
+            compose(h.product, tensor(m.right_action, id_h), tensor(id_h, ps))),
+        equation_entry(
+            "vi",
+            compose(braiding(field, a.space, h.space), ps),
+            compose(tensor(m.right_action, m.left_action),
+                    tensor(id_h, braiding(field, h.space, a.space), id_a),
+                    tensor(h.coproduct, a.coproduct))),
+    ))
 
 
 def _is_diagonal(m: MatchedPairData) -> bool:
@@ -127,18 +130,16 @@ def check_mp_over_A(m: MatchedPairData) -> AxiomReport:
         raise NotDiagonal("both Hopf components must have equal structure constants")
     if not is_cocommutative(m.first):
         raise NotCocommutative("diagonal matched pairs need a cocommutative coproduct")
-    rep = check_matched_pair(m)
-    rep.append(equation_entry(
+    base = check_matched_pair(m)
+    interweaving = equation_entry(
         "interweaving_identity",
         m.first.product,
-        compose(m.first.product, psi(m))))
-    return rep
+        compose(m.first.product, psi(m)))
+    return AxiomReport((*base.entries, interweaving))
 
 
 def require_valid_mp_over_A(m: MatchedPairData) -> None:
-    rep = check_mp_over_A(m)
-    if not rep.ok:
-        raise MpAxiomsFailed("diagonal matched pair axioms fail", rep)
+    check_mp_over_A(m).require(MpAxiomsFailed, "diagonal matched pair axioms fail")
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +176,8 @@ def functor_G(m: MatchedPairData) -> HopfBraceData:
 def roundtrip_FG(m: MatchedPairData) -> AxiomReport:
     """Componentwise equality of m and F(G(m))."""
     back = functor_F(functor_G(m))
-    rep = componentwise(back.first, m.first, HOPF_MAPS)
-    rep.merge(componentwise(back, m, MP_EXTRA_MAPS))
-    return rep
+    return AxiomReport(componentwise(back.first, m.first, HOPF_MAPS).entries
+                       + componentwise(back, m, MP_EXTRA_MAPS).entries)
 
 
 def roundtrip_GF(b: HopfBraceData) -> AxiomReport:
@@ -185,12 +185,10 @@ def roundtrip_GF(b: HopfBraceData) -> AxiomReport:
     return componentwise(functor_G(functor_F(b)), b, BRACE_MAPS)
 
 
-def obt_from_matched_pair(m: MatchedPairData):
+def obt_from_matched_pair(m: MatchedPairData) -> OppBraceTripleData:
     """The opposite brace triple induced directly by a diagonal matched
     pair: action = left_action o (antipode (x) id), involution =
     left_action o (id (x) antipode) o coproduct."""
-    from .obt import OppBraceTripleData
-
     require_valid_mp_over_A(m)
     a, field = m.first, m.field
     id_a = LinMap.identity(field, a.space)
@@ -202,15 +200,13 @@ def obt_from_matched_pair(m: MatchedPairData):
 def check_mp_morphism(f: LinMap, g: LinMap, src: MatchedPairData,
                       dst: MatchedPairData) -> AxiomReport:
     """(f, g) intertwines both Hopf structures and both actions."""
-    from .hopf import check_hopf_morphism
-
-    rep = AxiomReport()
-    rep.merge(check_hopf_morphism(f, src.first, dst.first), "first.")
-    rep.merge(check_hopf_morphism(g, src.second, dst.second), "second.")
-    rep.append(equation_entry(
-        "left_action",
-        compose(f, src.left_action), compose(dst.left_action, tensor(g, f))))
-    rep.append(equation_entry(
-        "right_action",
-        compose(g, src.right_action), compose(dst.right_action, tensor(g, f))))
-    return rep
+    return AxiomReport((
+        *check_hopf_morphism(f, src.first, dst.first).prefixed("first."),
+        *check_hopf_morphism(g, src.second, dst.second).prefixed("second."),
+        equation_entry(
+            "left_action",
+            compose(f, src.left_action), compose(dst.left_action, tensor(g, f))),
+        equation_entry(
+            "right_action",
+            compose(g, src.right_action), compose(dst.right_action, tensor(g, f))),
+    ))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .brace import BRACE_MAPS, HopfBraceData, gamma, require_valid_brace
 from .errors import NotCocommutative, ObtAxiomsFailed, PrereqFailed
 from .hopf import (HOPF_MAPS, HopfAlgebraData, _check_map, check_hopf,
-                   is_cocommutative, make_hopf)
+                   check_hopf_morphism, is_cocommutative, make_hopf)
 from .linmap import (LinMap, braiding, componentwise, compose, equation_entry,
                      tensor)
 from .report import AxiomReport
@@ -63,59 +63,52 @@ def check_obt(t: OppBraceTripleData) -> AxiomReport:
     (viii) acting along the diagonal on the involution recovers the antipode
     """
     h = t.hopf
-    base = check_hopf(h)
-    if not base.ok:
-        raise PrereqFailed("triple axioms are gated on check_hopf", base)
+    check_hopf(h).require(PrereqFailed, "triple axioms are gated on check_hopf")
     field, space = t.field, h.space
     id_a = LinMap.identity(field, space)
     swap = braiding(field, space, space)
     m, u = t.action, t.involution
     mt = mu_tilde(t)
-    rep = AxiomReport()
 
-    coalg_counit = equation_entry(
+    # (i) and (vi) report their counit half when it fails, else the coproduct half
+    coalg = equation_entry(
         "i", compose(h.counit, m), tensor(h.counit, h.counit))
-    if coalg_counit.passed:
-        rep.append(equation_entry(
+    if coalg.passed:
+        coalg = equation_entry(
             "i",
             compose(h.coproduct, m),
             compose(tensor(m, m), tensor(id_a, swap, id_a),
-                    tensor(h.coproduct, h.coproduct))))
-    else:
-        rep.append(coalg_counit)
-
-    rep.append(equation_entry(
-        "ii", compose(m, tensor(h.unit, id_a)), id_a))
-    rep.append(equation_entry(
-        "iii", compose(m, tensor(id_a, h.unit)), compose(h.unit, h.counit)))
-    rep.append(equation_entry(
-        "iv",
-        compose(m, tensor(id_a, m)),
-        compose(m, tensor(compose(h.product, swap), id_a))))
-    rep.append(equation_entry(
-        "v",
-        compose(m, tensor(id_a, mt)),
-        compose(mt, tensor(m, m), tensor(id_a, swap, id_a),
-                tensor(h.coproduct, id_a, id_a))))
-
-    inv_counit = equation_entry(
+                    tensor(h.coproduct, h.coproduct)))
+    inv = equation_entry(
         "vi", compose(h.counit, u), h.counit)
-    if inv_counit.passed:
-        rep.append(equation_entry(
-            "vi", compose(h.coproduct, u), compose(tensor(u, u), h.coproduct)))
-    else:
-        rep.append(inv_counit)
+    if inv.passed:
+        inv = equation_entry(
+            "vi", compose(h.coproduct, u), compose(tensor(u, u), h.coproduct))
 
-    rep.append(equation_entry("vii", compose(u, u), id_a))
-    rep.append(equation_entry(
-        "viii", compose(m, tensor(id_a, u), h.coproduct), h.antipode))
-    return rep
+    return AxiomReport((
+        coalg,
+        equation_entry(
+            "ii", compose(m, tensor(h.unit, id_a)), id_a),
+        equation_entry(
+            "iii", compose(m, tensor(id_a, h.unit)), compose(h.unit, h.counit)),
+        equation_entry(
+            "iv",
+            compose(m, tensor(id_a, m)),
+            compose(m, tensor(compose(h.product, swap), id_a))),
+        equation_entry(
+            "v",
+            compose(m, tensor(id_a, mt)),
+            compose(mt, tensor(m, m), tensor(id_a, swap, id_a),
+                    tensor(h.coproduct, id_a, id_a))),
+        inv,
+        equation_entry("vii", compose(u, u), id_a),
+        equation_entry(
+            "viii", compose(m, tensor(id_a, u), h.coproduct), h.antipode),
+    ))
 
 
 def require_valid_obt(t: OppBraceTripleData) -> None:
-    rep = check_obt(t)
-    if not rep.ok:
-        raise ObtAxiomsFailed("opposite brace triple axioms fail", rep)
+    check_obt(t).require(ObtAxiomsFailed, "opposite brace triple axioms fail")
 
 
 def build_deformed_hopf(t: OppBraceTripleData) -> HopfAlgebraData:
@@ -137,21 +130,15 @@ def check_lemma_mu_recovery(t: OppBraceTripleData) -> AxiomReport:
     rather than an exception.
     """
     h = t.hopf
-    base = check_hopf(h)
-    if not base.ok:
-        raise PrereqFailed("recovery lemma is gated on check_hopf", base)
+    check_hopf(h).require(PrereqFailed, "recovery lemma is gated on check_hopf")
     if not is_cocommutative(h):
         raise NotCocommutative("recovery lemma needs a cocommutative coproduct")
     field, space = t.field, h.space
     id_a = LinMap.identity(field, space)
-    rep = AxiomReport()
-    rep.append(equation_entry(
-        "product_recovery",
-        h.product,
-        compose(mu_tilde(t),
-                tensor(id_a, compose(t.action, tensor(h.antipode, id_a))),
-                tensor(h.coproduct, id_a))))
-    return rep
+    recovered = compose(mu_tilde(t),
+                        tensor(id_a, compose(t.action, tensor(h.antipode, id_a))),
+                        tensor(h.coproduct, id_a))
+    return AxiomReport((equation_entry("product_recovery", h.product, recovered),))
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +174,8 @@ def roundtrip_PQ(b: HopfBraceData) -> AxiomReport:
 def roundtrip_QP(t: OppBraceTripleData) -> AxiomReport:
     """Componentwise equality of t and Q(P(t))."""
     back = functor_Q(functor_P(t))
-    rep = componentwise(back.hopf, t.hopf, HOPF_MAPS)
-    rep.merge(componentwise(back, t, OBT_EXTRA_MAPS))
-    return rep
+    return AxiomReport(componentwise(back.hopf, t.hopf, HOPF_MAPS).entries
+                       + componentwise(back, t, OBT_EXTRA_MAPS).entries)
 
 
 def check_obt_morphism(f: LinMap, src: OppBraceTripleData,
@@ -197,17 +183,15 @@ def check_obt_morphism(f: LinMap, src: OppBraceTripleData,
     """f is a Hopf morphism intertwining the actions; compatibility with
     the deformed product and the involutions follows and is reported as
     derived."""
-    from .hopf import check_hopf_morphism
-
     ff = tensor(f, f)
-    rep = AxiomReport()
-    rep.merge(check_hopf_morphism(f, src.hopf, dst.hopf), "hopf.")
-    rep.append(equation_entry(
-        "action", compose(f, src.action), compose(dst.action, ff)))
-    rep.append(equation_entry(
-        "derived.deformed_product",
-        compose(f, mu_tilde(src)), compose(mu_tilde(dst), ff)))
-    rep.append(equation_entry(
-        "derived.involution",
-        compose(dst.involution, f), compose(f, src.involution)))
-    return rep
+    return AxiomReport((
+        *check_hopf_morphism(f, src.hopf, dst.hopf).prefixed("hopf."),
+        equation_entry(
+            "action", compose(f, src.action), compose(dst.action, ff)),
+        equation_entry(
+            "derived.deformed_product",
+            compose(f, mu_tilde(src)), compose(mu_tilde(dst), ff)),
+        equation_entry(
+            "derived.involution",
+            compose(dst.involution, f), compose(f, src.involution)),
+    ))

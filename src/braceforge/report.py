@@ -1,13 +1,16 @@
 """Pass/fail reports with counterexample witnesses.
 
-Every checker in the package returns an AxiomReport: an ordered list of
-named entries, each passed or failed.  A failed entry always carries a
-witness dict (for map equations: the first differing basis column and
-both side values; for set-level laws: the offending element tuple).
+Every checker in the package returns an AxiomReport: an immutable,
+ordered tuple of named entries, each passed or failed.  A failed entry
+always carries a witness dict (for map equations: the first differing
+basis column and both side values; for set-level laws: the offending
+element tuple).  A checker that includes another checker's verdict embeds
+its entries under a name prefix (``prefixed``); a construction gated on a
+verdict calls ``require``, which raises with the report attached.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 
 @dataclass(frozen=True)
@@ -24,9 +27,13 @@ class CheckEntry:
         return {"name": self.name, "passed": self.passed, "witness": self.witness}
 
 
-@dataclass
+@dataclass(frozen=True)
 class AxiomReport:
-    entries: list[CheckEntry] = field(default_factory=list)
+    entries: tuple[CheckEntry, ...] = ()
+
+    def __post_init__(self):
+        # any iterable of entries is accepted and frozen into a tuple
+        object.__setattr__(self, "entries", tuple(self.entries))
 
     @property
     def ok(self) -> bool:
@@ -35,15 +42,14 @@ class AxiomReport:
     def failures(self) -> list[CheckEntry]:
         return [e for e in self.entries if not e.passed]
 
-    def add(self, name: str, passed: bool, witness: dict | None = None) -> None:
-        self.entries.append(CheckEntry(name, passed, witness))
+    def prefixed(self, prefix: str) -> tuple[CheckEntry, ...]:
+        """The entries renamed to prefix + name, for embedding in another report."""
+        return tuple(replace(e, name=prefix + e.name) for e in self.entries)
 
-    def append(self, entry: CheckEntry) -> None:
-        self.entries.append(entry)
-
-    def merge(self, other: "AxiomReport", prefix: str = "") -> None:
-        for e in other.entries:
-            self.entries.append(CheckEntry(prefix + e.name, e.passed, e.witness))
+    def require(self, exc_type: type[Exception], message: str) -> None:
+        """Raise exc_type(message, self) unless every entry passed."""
+        if not self.ok:
+            raise exc_type(message, self)
 
     def entry(self, name: str) -> CheckEntry:
         for e in self.entries:

@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import NotAGroup, OrderTooLarge, PrereqFailed, SkewBraceAxiomsFailed
-from .report import AxiomReport
+from .report import AxiomReport, CheckEntry
 
 ENUMERATION_ORDER_BOUND = 8
 
@@ -75,46 +74,49 @@ class CayleyTable:
         return None
 
 
-def check_group(t: CayleyTable) -> AxiomReport:
-    """Identity law, two-sided inverses, associativity; witnesses are element tuples."""
-    rep = AxiomReport()
-    n, e, tbl = t.order, t.identity, t.table
+def _law(name: str, witness: dict | None) -> CheckEntry:
+    """Entry for a set-level law: it holds when no witness was found."""
+    return CheckEntry(name, witness is None, witness)
 
-    wit = None
+
+def _identity_witness(t: CayleyTable) -> dict | None:
+    n, e, tbl = t.order, t.identity, t.table
     for a in range(n):
         if tbl[e][a] != a:
-            wit = {"a": e, "b": a, "left": tbl[e][a], "right": a}
-            break
+            return {"a": e, "b": a, "left": tbl[e][a], "right": a}
         if tbl[a][e] != a:
-            wit = {"a": a, "b": e, "left": tbl[a][e], "right": a}
-            break
-    rep.add("identity", wit is None, wit)
+            return {"a": a, "b": e, "left": tbl[a][e], "right": a}
+    return None
 
-    wit = None
-    for a in range(n):
+
+def _inverse_witness(t: CayleyTable) -> dict | None:
+    for a in range(t.order):
         if t.inverse(a) is None:
-            wit = {"a": a}
-            break
-    rep.add("inverses", wit is None, wit)
+            return {"a": a}
+    return None
 
-    wit = None
+
+def _associativity_witness(t: CayleyTable) -> dict | None:
+    n, tbl = t.order, t.table
     for a in range(n):
         row_a = tbl[a]
         for b in range(n):
-            ab = row_a[b]
-            row_ab = tbl[ab]
+            row_ab = tbl[row_a[b]]
             row_b = tbl[b]
             for c in range(n):
                 if row_ab[c] != row_a[row_b[c]]:
-                    wit = {"a": a, "b": b, "c": c,
-                           "left": row_ab[c], "right": row_a[row_b[c]]}
-                    break
-            if wit:
-                break
-        if wit:
-            break
-    rep.add("associativity", wit is None, wit)
-    return rep
+                    return {"a": a, "b": b, "c": c,
+                            "left": row_ab[c], "right": row_a[row_b[c]]}
+    return None
+
+
+def check_group(t: CayleyTable) -> AxiomReport:
+    """Identity law, two-sided inverses, associativity; witnesses are element tuples."""
+    return AxiomReport((
+        _law("identity", _identity_witness(t)),
+        _law("inverses", _inverse_witness(t)),
+        _law("associativity", _associativity_witness(t)),
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -361,13 +363,8 @@ def _compat_witness(dot: CayleyTable, circ: CayleyTable) -> dict | None:
 def check_skew_brace(s: SkewBraceData) -> AxiomReport:
     """Compatibility law over all element triples; both tables must be groups."""
     for name, tbl in (("dot", s.dot), ("circ", s.circ)):
-        sub = check_group(tbl)
-        if not sub.ok:
-            raise PrereqFailed(f"{name} table is not a group", sub)
-    rep = AxiomReport()
-    wit = _compat_witness(s.dot, s.circ)
-    rep.add("compatibility", wit is None, wit)
-    return rep
+        check_group(tbl).require(PrereqFailed, f"{name} table is not a group")
+    return AxiomReport((_law("compatibility", _compat_witness(s.dot, s.circ)),))
 
 
 def enumerate_skew_braces(dot: CayleyTable, traversal_rng=None) -> list[SkewBraceData]:
@@ -380,9 +377,7 @@ def enumerate_skew_braces(dot: CayleyTable, traversal_rng=None) -> list[SkewBrac
         raise OrderTooLarge(
             f"enumeration is guarded at order {ENUMERATION_ORDER_BOUND}, "
             f"got {dot.order}")
-    grp = check_group(dot)
-    if not grp.ok:
-        raise NotAGroup("dot table fails the group axioms", grp)
+    check_group(dot).require(NotAGroup, "dot table fails the group axioms")
     out = []
     for circ in group_tables(dot.order, dot.identity, traversal_rng):
         if _compat_witness(dot, circ) is None:
@@ -398,9 +393,7 @@ def linearize(s: SkewBraceData, field):
     coalgebra is group-like and shared; the antipodes linearize the two
     group inversions.
     """
-    rep = check_skew_brace(s)
-    if not rep.ok:
-        raise SkewBraceAxiomsFailed("skew brace law fails", rep)
+    check_skew_brace(s).require(SkewBraceAxiomsFailed, "skew brace law fails")
     from .brace import HopfBraceData
     from .hopf import group_algebra
 

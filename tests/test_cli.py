@@ -1,13 +1,17 @@
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from braceforge import (LinMap, QQ, cyclic, enumerate_skew_braces, functor_F,
-                        functor_Q, group_algebra, linearize, make_hopf, save,
-                        symmetric_3, trivial_brace)
+import braceforge
+from braceforge import (CayleyTable, LinMap, QQ, check_hopf_brace, cyclic,
+                        enumerate_skew_braces, functor_F, functor_Q,
+                        group_algebra, linearize, make_hopf, save, symmetric_3,
+                        trivial_brace)
 from braceforge.cli import main
 from braceforge.storage import KINDS
 
@@ -144,6 +148,37 @@ def test_construct_gate_exits_3(files, capsys):
     assert "precondition:" in err
 
 
+def test_construct_axioms_failed_prints_report_exits_1(files, capsys):
+    b = linearize(enumerate_skew_braces(cyclic(3))[0], QQ)
+    product2 = dict(b.product2.items())
+    product2[(0, 0)] = 2  # e.e := 2e breaks the second structure
+    broken = dataclasses.replace(
+        b, product2=LinMap(QQ, b.product2.domain, b.product2.codomain, product2))
+    save(broken, files["dir"] / "broken_brace.json")
+    code, out, err = run("construct", "Q", str(files["dir"] / "broken_brace.json"),
+                         "-o", str(files["dir"] / "x.json"), capsys=capsys)
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert lines[0] == "error: hopf brace axioms fail"
+    assert "\n".join(lines[1:]) == str(check_hopf_brace(broken))
+    assert "FAIL  second.bialgebra.product.counit" in err
+
+
+def test_construct_not_a_group_prints_report_exits_1(files, capsys):
+    rows = [list(r) for r in cyclic(3).table]
+    rows[1][1] = 1  # g.g := g
+    save(CayleyTable(rows, 0), files["dir"] / "bad_group.json")
+    code, _, err = run("construct", "group-algebra",
+                       str(files["dir"] / "bad_group.json"), "--field", "Q",
+                       "-o", str(files["dir"] / "x.json"), capsys=capsys)
+    assert code == 1
+    assert err.splitlines() == [
+        "error: table fails the group axioms",
+        "PASS  identity",
+        "PASS  inverses",
+        "FAIL  associativity  [a=1 b=1 c=2 left=0 right=1]"]
+
+
 def test_enumerate_builtin(files, capsys):
     outdir = files["dir"] / "braces"
     code, out, _ = run("enumerate", "skew-braces", "--group", "builtin:Z4",
@@ -193,6 +228,13 @@ def test_suite_small(capsys):
     assert lines[-1] == "suite: 6/6 pass (max order 3, field Q)"
     assert sum(1 for l in lines if l.startswith("PASS")) == 6
     assert any("(13 checks)" in l for l in lines)
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_suite_max_order_below_1_exits_2(value, capsys):
+    code, out, err = run("suite", "--max-order", value, capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: --max-order must be at least 1, got {value}\n"
 
 
 def test_suite_field_and_threads(capsys, monkeypatch):
@@ -271,8 +313,12 @@ def test_bad_usage_exits_2():
 
 
 def test_console_script_runs():
+    # the child imports the same braceforge as this process
+    src = str(Path(braceforge.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "braceforge.cli", "suite",
                            "--max-order", "2"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "suite: 4/4 pass (max order 2, field Q)" in proc.stdout
