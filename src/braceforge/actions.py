@@ -12,7 +12,8 @@ from dataclasses import dataclass, replace
 
 from .errors import PrereqFailed
 from .hopf import AlgebraData, CoalgebraData, HopfAlgebraData, _check_map, check_hopf
-from .linmap import LinMap, Space, braiding, compose, equation_entry, tensor
+from .linmap import (LinMap, Space, braiding, compose, equation_entry,
+                     interchange, tensor)
 from .report import AxiomReport
 
 
@@ -72,7 +73,7 @@ def left_tensor_square_action(m: LeftModuleData) -> LinMap:
     id_m = LinMap.identity(field, m.carrier)
     return compose(
         tensor(m.action, m.action),
-        tensor(LinMap.identity(field, h.space), braiding(field, h.space, m.carrier), id_m),
+        interchange(field, h.space, m.carrier),
         tensor(h.coproduct, id_m, id_m))
 
 
@@ -82,7 +83,7 @@ def right_tensor_square_action(m: RightModuleData) -> LinMap:
     id_m = LinMap.identity(field, m.carrier)
     return compose(
         tensor(m.action, m.action),
-        tensor(id_m, braiding(field, m.carrier, h.space), LinMap.identity(field, h.space)),
+        interchange(field, m.carrier, h.space),
         tensor(id_m, id_m, h.coproduct))
 
 
@@ -114,7 +115,6 @@ def check_module_coalgebra(m: LeftModuleData, coa: CoalgebraData) -> AxiomReport
     check_left_module(m).require(
         PrereqFailed, "module-coalgebra check is gated on check_left_module")
     h, field = m.hopf, m.hopf.field
-    id_m = LinMap.identity(field, m.carrier)
     id_h = LinMap.identity(field, h.space)
     counit = equation_entry(
         "carrier_counit",
@@ -126,7 +126,7 @@ def check_module_coalgebra(m: LeftModuleData, coa: CoalgebraData) -> AxiomReport
     # its counit half is the same equation as carrier_counit
     via_morphism = compose(
         tensor(m.action, m.action),
-        tensor(id_h, braiding(field, h.space, m.carrier), id_m),
+        interchange(field, h.space, m.carrier),
         tensor(h.coproduct, coa.coproduct))
     return AxiomReport((
         counit,
@@ -142,13 +142,12 @@ def check_right_module_coalgebra(m: RightModuleData, coa: CoalgebraData) -> Axio
     check_right_module(m).require(
         PrereqFailed, "module-coalgebra check is gated on check_right_module")
     h, field = m.hopf, m.hopf.field
-    id_m = LinMap.identity(field, m.carrier)
     id_h = LinMap.identity(field, h.space)
     coproduct_after = compose(coa.coproduct, m.action)
     via_square = compose(right_tensor_square_action(m), tensor(coa.coproduct, id_h))
     via_morphism = compose(
         tensor(m.action, m.action),
-        tensor(id_m, braiding(field, m.carrier, h.space), id_h),
+        interchange(field, m.carrier, h.space),
         tensor(coa.coproduct, h.coproduct))
     return AxiomReport((
         equation_entry(

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BraceAxiomsFailed, NotCocommutative, PrereqFailed
+from .errors import BraceAxiomsFailed, PrereqFailed
 from .hopf import (AlgebraData, CoalgebraData, HopfAlgebraData, _check_map,
-                   check_hopf, check_hopf_morphism, is_cocommutative)
-from .linmap import LinMap, Space, braiding, compose, equation_entry, tensor
+                   check_hopf, check_hopf_morphism, deform,
+                   require_cocommutative)
+from .linmap import (LinMap, Space, braiding, compose, equation_entry,
+                     interchange, tensor)
 from .report import AxiomReport
 
 
@@ -76,12 +78,11 @@ def check_hopf_brace(b: HopfBraceData) -> AxiomReport:
     second = check_hopf(b.second()).prefixed("second.")
     field, space = b.field, b.space
     id_h = LinMap.identity(field, space)
-    swap = braiding(field, space, space)
     lhs = compose(b.product2, tensor(id_h, b.product1))
     rhs = compose(
         b.product1,
         tensor(b.product2, gamma(b)),
-        tensor(id_h, swap, id_h),
+        interchange(field, space, space),
         tensor(b.coproduct, id_h, id_h))
     return AxiomReport((*first, *second, equation_entry("compatibility", lhs, rhs)))
 
@@ -90,15 +91,11 @@ def phi(b: HopfBraceData) -> LinMap:
     """Right action of the second structure on the carrier, for
     cocommutative braces:
     phi = product2 o ((antipode2 o gamma) (x) product2) o (id (x) swap (x) id) o (coproduct (x) coproduct)."""
-    if not is_cocommutative(b.first()):
-        raise NotCocommutative("phi needs a cocommutative coproduct")
-    field, space = b.field, b.space
-    id_h = LinMap.identity(field, space)
-    swap = braiding(field, space, space)
+    require_cocommutative(b.first(), "phi needs a cocommutative coproduct")
     return compose(
         b.product2,
         tensor(compose(b.antipode2, gamma(b)), b.product2),
-        tensor(id_h, swap, id_h),
+        interchange(b.field, b.space, b.space),
         tensor(b.coproduct, b.coproduct))
 
 
@@ -124,14 +121,12 @@ def check_brace_identities(b: HopfBraceData) -> AxiomReport:
                     tensor(b.coproduct, id_h))),
         equation_entry(
             "product2_from_action",
-            b.product2,
-            compose(b.product1, tensor(id_h, g), tensor(b.coproduct, id_h))),
+            b.product2, deform(b.product1, b.coproduct, g)),
         equation_entry(
             "product1_from_action",
             b.product1,
-            compose(b.product2,
-                    tensor(id_h, compose(g, tensor(b.antipode2, id_h))),
-                    tensor(b.coproduct, id_h))),
+            deform(b.product2, b.coproduct,
+                   compose(g, tensor(b.antipode2, id_h)))),
     ))
 
 

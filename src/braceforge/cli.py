@@ -70,25 +70,25 @@ def _cmd_check(args) -> int:
     return _emit_report(rep, args.json, f"{args.kind} {args.file}")
 
 
+_CONSTRUCTIONS = {
+    "P": ("obt", functor_P),
+    "Q": ("brace", functor_Q),
+    "F": ("brace", functor_F),
+    "G": ("matched_pair", functor_G),
+    "obt-from-mp": ("matched_pair", obt_from_matched_pair),
+    "group-algebra": ("group", group_algebra),
+    "trivial-brace": ("hopf", trivial_brace),
+}
+
+
 def _cmd_construct(args) -> int:
-    op = args.op
-    if op == "group-algebra":
+    kind, func = _CONSTRUCTIONS[args.op]
+    if args.op == "group-algebra":  # the one construction that takes a field
         if args.field is None:
             raise StorageError("construct group-algebra requires --field")
-        table = _load_as(args.file, "group")
-        out = group_algebra(table, parse_field(args.field))
-    elif op == "trivial-brace":
-        out = trivial_brace(_load_as(args.file, "hopf"))
-    elif op == "P":
-        out = functor_P(_load_as(args.file, "obt"))
-    elif op == "Q":
-        out = functor_Q(_load_as(args.file, "brace"))
-    elif op == "F":
-        out = functor_F(_load_as(args.file, "brace"))
-    elif op == "G":
-        out = functor_G(_load_as(args.file, "matched_pair"))
-    else:  # obt-from-mp
-        out = obt_from_matched_pair(_load_as(args.file, "matched_pair"))
+        out = func(_load_as(args.file, kind), parse_field(args.field))
+    else:
+        out = func(_load_as(args.file, kind))
     storage.save(out, args.output)
     print(f"wrote {storage.kind_of(out)} {args.output}")
     return 0
@@ -201,6 +201,7 @@ def _cmd_suite(args) -> int:
         raise ValueError(f"--max-order must be at least 1, got {args.max_order}")
     field = parse_field(args.field)  # validates the field string early
     requested = _requested_workers()
+    groups_of_order(args.max_order)  # past the catalogue: fail before any work
     rows: list[tuple[str, list[tuple[str, bool]]]] = []
     jobs = []
     for order in range(1, args.max_order + 1):
@@ -249,15 +250,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("construct", help="apply a construction and save the result")
-    p.add_argument("op", choices=["P", "Q", "F", "G", "obt-from-mp",
-                                  "group-algebra", "trivial-brace"])
+    p.add_argument("op", choices=list(_CONSTRUCTIONS))
     p.add_argument("file")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--field", help="field spec for group-algebra (Q or Fp:<p>)")
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("roundtrip", help="verify a functor round trip exactly")
-    p.add_argument("which", choices=["PQ", "QP", "FG", "GF"])
+    p.add_argument("which", choices=list(_ROUNDTRIPS))
     p.add_argument("file")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_roundtrip)

@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch, FieldMismatch, NotAGroup, NotCocommutative, PrereqFailed
-from .linmap import LinMap, Space, braiding, compose, equation_entry, tensor
+from .linmap import (LinMap, Space, braiding, compose, equation_entry,
+                     interchange, tensor)
 from .report import AxiomReport
 from .skewbraces import CayleyTable, check_group
 
@@ -158,6 +159,13 @@ def convolve(f: LinMap, g: LinMap, c: CoalgebraData, a: AlgebraData) -> LinMap:
     return compose(a.product, tensor(f, g), c.coproduct)
 
 
+def deform(product: LinMap, coproduct: LinMap, action: LinMap) -> LinMap:
+    """The product deformed along an action:
+    product o (id (x) action) o (coproduct (x) id)."""
+    ident = LinMap.identity(product.field, product.codomain)
+    return compose(product, tensor(ident, action), tensor(coproduct, ident))
+
+
 def convolution_unit(c: CoalgebraData, a: AlgebraData) -> LinMap:
     """The convolution-neutral map unit o counit."""
     return compose(a.unit, c.counit)
@@ -168,7 +176,6 @@ def check_hopf(h: HopfAlgebraData) -> AxiomReport:
     field, space = h.field, h.space
     ident = LinMap.identity(field, space)
     id_k = LinMap.identity(field, Space(1))
-    swap = braiding(field, space, space)
     neutral = convolution_unit(h.coalgebra, h.algebra)
     return AxiomReport((
         *check_algebra(h.algebra).prefixed("algebra."),
@@ -186,7 +193,7 @@ def check_hopf(h: HopfAlgebraData) -> AxiomReport:
             "bialgebra.product.coproduct",
             compose(h.coproduct, h.product),
             compose(tensor(h.product, h.product),
-                    tensor(ident, swap, ident),
+                    interchange(field, space, space),
                     tensor(h.coproduct, h.coproduct))),
         equation_entry(
             "antipode.left",
@@ -205,6 +212,12 @@ def is_commutative(h: HopfAlgebraData) -> bool:
 def is_cocommutative(h: HopfAlgebraData) -> bool:
     swap = braiding(h.field, h.space, h.space)
     return compose(swap, h.coproduct) == h.coproduct
+
+
+def require_cocommutative(h: HopfAlgebraData, message: str) -> None:
+    """Raise NotCocommutative(message) unless h is cocommutative."""
+    if not is_cocommutative(h):
+        raise NotCocommutative(message)
 
 
 def check_antipode_properties(h: HopfAlgebraData) -> AxiomReport:
@@ -242,8 +255,7 @@ def opposite_hopf(h: HopfAlgebraData) -> HopfAlgebraData:
     For cocommutative data the original antipode still works for the
     opposite product, so no antipode inverse is needed.
     """
-    if not is_cocommutative(h):
-        raise NotCocommutative("opposite product needs a cocommutative coproduct")
+    require_cocommutative(h, "opposite product needs a cocommutative coproduct")
     swap = braiding(h.field, h.space, h.space)
     return HopfAlgebraData(
         algebra=AlgebraData(h.space, h.unit, compose(h.product, swap)),

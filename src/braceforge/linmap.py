@@ -14,6 +14,9 @@ of A (x) B is ordered with the left factor major,
 The braiding c_{A,B} : A (x) B -> B (x) A maps e_i (x) e_j to e_j (x) e_i.
 It is kept an explicit map in every formula (never inlined as an index
 shuffle), so a different braiding can be swapped in at this one point.
+interchange(field, A, B) = id_A (x) c_{A,B} (x) id_B is the one place that
+pads a braiding with identities on both sides: every formula that swaps
+the two middle legs of a fourfold tensor goes through it.
 
 Matrices are semantically dense; internally only nonzero entries are
 keyed, which keeps composites of structure-constant maps (mostly
@@ -437,6 +440,13 @@ def braiding(field: Field, a: Space, b: Space) -> LinMap:
         for j in range(b.dim):
             entries[(j * a.dim + i, i * b.dim + j)] = one
     return LinMap(field, Space(a.dim * b.dim), Space(b.dim * a.dim), entries)
+
+
+def interchange(field: Field, a: Space, b: Space) -> LinMap:
+    """id_A (x) c_{A,B} (x) id_B : A (x) A (x) B (x) B -> A (x) B (x) A (x) B,
+    e_i (x) e_j (x) e_k (x) e_l -> e_i (x) e_k (x) e_j (x) e_l."""
+    return tensor(LinMap.identity(field, a), braiding(field, a, b),
+                  LinMap.identity(field, b))
 
 
 def first_difference(f: LinMap, g: LinMap) -> dict | None:

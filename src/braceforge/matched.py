@@ -14,12 +14,12 @@ from .actions import (LeftModuleData, RightModuleData, check_left_module,
                       check_module_coalgebra, check_right_module,
                       check_right_module_coalgebra)
 from .brace import BRACE_MAPS, HopfBraceData, gamma, phi, require_valid_brace
-from .errors import MpAxiomsFailed, NotCocommutative, NotDiagonal, PrereqFailed
+from .errors import MpAxiomsFailed, NotDiagonal, PrereqFailed
 from .hopf import (HOPF_MAPS, HopfAlgebraData, _check_map, check_hopf,
-                   check_hopf_morphism, is_cocommutative)
+                   check_hopf_morphism, require_cocommutative)
 from .linmap import (LinMap, braiding, componentwise, compose, equation_entry,
-                     tensor)
-from .obt import OppBraceTripleData
+                     interchange, tensor)
+from .obt import OppBraceTripleData, _deformation_brace
 from .report import AxiomReport
 
 # The structure maps a matched pair adds to its two Hopf algebras.
@@ -50,12 +50,10 @@ class MatchedPairData:
 
 def psi(m: MatchedPairData) -> LinMap:
     """The interweaving map second (x) first -> first (x) second."""
-    a, h, field = m.first, m.second, m.field
+    a, h = m.first, m.second
     return compose(
         tensor(m.left_action, m.right_action),
-        tensor(LinMap.identity(field, h.space),
-               braiding(field, h.space, a.space),
-               LinMap.identity(field, a.space)),
+        interchange(m.field, h.space, a.space),
         tensor(h.coproduct, a.coproduct))
 
 
@@ -111,7 +109,7 @@ def check_matched_pair(m: MatchedPairData) -> AxiomReport:
             "vi",
             compose(braiding(field, a.space, h.space), ps),
             compose(tensor(m.right_action, m.left_action),
-                    tensor(id_h, braiding(field, h.space, a.space), id_a),
+                    interchange(field, h.space, a.space),
                     tensor(h.coproduct, a.coproduct))),
     ))
 
@@ -128,8 +126,8 @@ def check_mp_over_A(m: MatchedPairData) -> AxiomReport:
     cocommutative."""
     if not _is_diagonal(m):
         raise NotDiagonal("both Hopf components must have equal structure constants")
-    if not is_cocommutative(m.first):
-        raise NotCocommutative("diagonal matched pairs need a cocommutative coproduct")
+    require_cocommutative(
+        m.first, "diagonal matched pairs need a cocommutative coproduct")
     base = check_matched_pair(m)
     interweaving = equation_entry(
         "interweaving_identity",
@@ -148,8 +146,8 @@ def require_valid_mp_over_A(m: MatchedPairData) -> None:
 def functor_F(b: HopfBraceData) -> MatchedPairData:
     """Brace to diagonal matched pair: the second structure acting on
     itself by gamma (left) and phi (right)."""
-    if not is_cocommutative(b.first()):
-        raise NotCocommutative("matched pair extraction needs cocommutativity")
+    require_cocommutative(
+        b.first(), "matched pair extraction needs cocommutativity")
     require_valid_brace(b)
     h2 = b.second()
     return MatchedPairData(
@@ -157,20 +155,9 @@ def functor_F(b: HopfBraceData) -> MatchedPairData:
 
 
 def functor_G(m: MatchedPairData) -> HopfBraceData:
-    """Diagonal matched pair to brace: first product deformed along the
-    left action, second the original Hopf structure."""
-    require_valid_mp_over_A(m)
-    a, field = m.first, m.field
-    id_a = LinMap.identity(field, a.space)
-    product1 = compose(
-        a.product,
-        tensor(id_a, compose(m.left_action, tensor(a.antipode, id_a))),
-        tensor(a.coproduct, id_a))
-    antipode1 = compose(m.left_action, tensor(id_a, a.antipode), a.coproduct)
-    return HopfBraceData(
-        space=a.space, unit=a.unit, counit=a.counit, coproduct=a.coproduct,
-        product1=product1, antipode1=antipode1,
-        product2=a.product, antipode2=a.antipode)
+    """Diagonal matched pair to brace: the deformation brace (functor_P's
+    construction) of the triple the pair induces."""
+    return _deformation_brace(obt_from_matched_pair(m))
 
 
 def roundtrip_FG(m: MatchedPairData) -> AxiomReport:

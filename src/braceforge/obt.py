@@ -15,11 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .brace import BRACE_MAPS, HopfBraceData, gamma, require_valid_brace
-from .errors import NotCocommutative, ObtAxiomsFailed, PrereqFailed
+from .errors import ObtAxiomsFailed, PrereqFailed
 from .hopf import (HOPF_MAPS, HopfAlgebraData, _check_map, check_hopf,
-                   check_hopf_morphism, is_cocommutative, make_hopf)
+                   check_hopf_morphism, deform, require_cocommutative)
 from .linmap import (LinMap, braiding, componentwise, compose, equation_entry,
-                     tensor)
+                     interchange, tensor)
 from .report import AxiomReport
 
 # The structure maps a triple adds to its Hopf algebra.
@@ -45,9 +45,7 @@ class OppBraceTripleData:
 
 def mu_tilde(t: OppBraceTripleData) -> LinMap:
     """The deformed product."""
-    h = t.hopf
-    id_a = LinMap.identity(t.field, h.space)
-    return compose(h.product, tensor(id_a, t.action), tensor(h.coproduct, id_a))
+    return deform(t.hopf.product, t.hopf.coproduct, t.action)
 
 
 def check_obt(t: OppBraceTripleData) -> AxiomReport:
@@ -77,7 +75,7 @@ def check_obt(t: OppBraceTripleData) -> AxiomReport:
         coalg = equation_entry(
             "i",
             compose(h.coproduct, m),
-            compose(tensor(m, m), tensor(id_a, swap, id_a),
+            compose(tensor(m, m), interchange(field, space, space),
                     tensor(h.coproduct, h.coproduct)))
     inv = equation_entry(
         "vi", compose(h.counit, u), h.counit)
@@ -98,7 +96,7 @@ def check_obt(t: OppBraceTripleData) -> AxiomReport:
         equation_entry(
             "v",
             compose(m, tensor(id_a, mt)),
-            compose(mt, tensor(m, m), tensor(id_a, swap, id_a),
+            compose(mt, tensor(m, m), interchange(field, space, space),
                     tensor(h.coproduct, id_a, id_a))),
         inv,
         equation_entry("vii", compose(u, u), id_a),
@@ -114,11 +112,7 @@ def require_valid_obt(t: OppBraceTripleData) -> None:
 def build_deformed_hopf(t: OppBraceTripleData) -> HopfAlgebraData:
     """The Hopf algebra with the deformed product and the involution as
     antipode; gated on the triple axioms and cocommutativity."""
-    if not is_cocommutative(t.hopf):
-        raise NotCocommutative("deformation needs a cocommutative coproduct")
-    require_valid_obt(t)
-    h = t.hopf
-    return make_hopf(h.unit, mu_tilde(t), h.counit, h.coproduct, t.involution)
+    return functor_P(t).first()
 
 
 def check_lemma_mu_recovery(t: OppBraceTripleData) -> AxiomReport:
@@ -131,34 +125,40 @@ def check_lemma_mu_recovery(t: OppBraceTripleData) -> AxiomReport:
     """
     h = t.hopf
     check_hopf(h).require(PrereqFailed, "recovery lemma is gated on check_hopf")
-    if not is_cocommutative(h):
-        raise NotCocommutative("recovery lemma needs a cocommutative coproduct")
-    field, space = t.field, h.space
-    id_a = LinMap.identity(field, space)
-    recovered = compose(mu_tilde(t),
-                        tensor(id_a, compose(t.action, tensor(h.antipode, id_a))),
-                        tensor(h.coproduct, id_a))
+    require_cocommutative(h, "recovery lemma needs a cocommutative coproduct")
+    id_a = LinMap.identity(t.field, h.space)
+    recovered = deform(mu_tilde(t), h.coproduct,
+                       compose(t.action, tensor(h.antipode, id_a)))
     return AxiomReport((equation_entry("product_recovery", h.product, recovered),))
 
 
 # ---------------------------------------------------------------------------
 # functors between triples and braces
 
-def functor_P(t: OppBraceTripleData) -> HopfBraceData:
-    """Triple to brace: first structure deformed, second the original."""
-    deformed = build_deformed_hopf(t)
+def _deformation_brace(t: OppBraceTripleData) -> HopfBraceData:
+    """The brace whose first structure is deformed along the action, with
+    the involution as antipode, and whose second is the original; ungated,
+    so callers verify t first."""
     h = t.hopf
     return HopfBraceData(
         space=h.space, unit=h.unit, counit=h.counit, coproduct=h.coproduct,
-        product1=deformed.product, antipode1=deformed.antipode,
+        product1=mu_tilde(t), antipode1=t.involution,
         product2=h.product, antipode2=h.antipode)
+
+
+def functor_P(t: OppBraceTripleData) -> HopfBraceData:
+    """Triple to brace: first structure deformed, second the original;
+    gated on cocommutativity and the triple axioms."""
+    require_cocommutative(t.hopf, "deformation needs a cocommutative coproduct")
+    require_valid_obt(t)
+    return _deformation_brace(t)
 
 
 def functor_Q(b: HopfBraceData) -> OppBraceTripleData:
     """Brace to triple: the second structure with the action
     m = gamma o (antipode2 (x) id) and involution antipode1."""
-    if not is_cocommutative(b.first()):
-        raise NotCocommutative("triple extraction needs a cocommutative coproduct")
+    require_cocommutative(
+        b.first(), "triple extraction needs a cocommutative coproduct")
     require_valid_brace(b)
     id_h = LinMap.identity(b.field, b.space)
     action = compose(gamma(b), tensor(b.antipode2, id_h))

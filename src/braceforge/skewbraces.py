@@ -177,8 +177,7 @@ def quaternion_8() -> CayleyTable:
 
 
 def klein_4() -> CayleyTable:
-    t = direct_product(cyclic(2), cyclic(2), "Z2xZ2")
-    return t
+    return direct_product(cyclic(2), cyclic(2), "Z2xZ2")
 
 
 _BUILTIN_FACTORIES = {
@@ -229,10 +228,9 @@ def _closure(base: frozenset, new: tuple, n: int, idp: tuple) -> frozenset | Non
     """
     els = set(base)
     frontier = []
-    for cand in (new,):
-        if cand not in els:
-            els.add(cand)
-            frontier.append(cand)
+    if new not in els:
+        els.add(new)
+        frontier.append(new)
     while frontier:
         g = frontier.pop()
         for h in list(els):

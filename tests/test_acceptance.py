@@ -10,7 +10,9 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
+import braceforge
 from braceforge import (LeftModuleData, LinMap, QQ, RightModuleData,
                         adjoint_action, build_deformed_hopf,
                         check_antipode_properties, check_brace_identities,
@@ -240,7 +242,10 @@ def test_criterion_11_io_closure_and_full_suite(tmp_path, corpus):
         save(load(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    env = dict(os.environ, BRACE_FORGE_THREADS="4")
+    # the child imports the same braceforge as this process
+    src = str(Path(braceforge.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, BRACE_FORGE_THREADS="4", PYTHONPATH=path)
     proc = subprocess.run(
         [sys.executable, "-m", "braceforge.cli", "suite", "--max-order", "6"],
         capture_output=True, text=True, env=env, timeout=600)

@@ -230,6 +230,16 @@ def test_suite_small(capsys):
     assert any("(13 checks)" in l for l in lines)
 
 
+def test_suite_past_the_catalogue_exits_3_before_any_work(capsys, monkeypatch):
+    def never(table):
+        raise AssertionError("suite enumerated before checking --max-order")
+
+    monkeypatch.setattr(braceforge.cli, "enumerate_skew_braces", never)
+    code, out, err = run("suite", "--max-order", "9", capsys=capsys)
+    assert (code, out) == (3, "")
+    assert err == "precondition: no group catalogue for order 9\n"
+
+
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_suite_max_order_below_1_exits_2(value, capsys):
     code, out, err = run("suite", "--max-order", value, capsys=capsys)

@@ -9,7 +9,7 @@ from braceforge import (LinMap, PrimeField, QQ, Space, braiding, compose,
                         cyclic, equal, first_difference, group_algebra,
                         parse_field, tensor)
 from braceforge.errors import DimensionMismatch, FieldMismatch
-from braceforge.linmap import equation_entry
+from braceforge.linmap import equation_entry, interchange
 from braceforge.report import CheckEntry
 
 F5 = PrimeField(5)
@@ -240,6 +240,20 @@ def test_braiding_involutive_and_natural():
     lhs = compose(braiding(QQ, Space(3), Space(2)), tensor(f, g))
     rhs = compose(tensor(g, f), braiding(QQ, Space(2), Space(4)))
     assert lhs == rhs
+
+
+def test_interchange_index_oracle():
+    # id_A (x) c_{A,B} (x) id_B: e_i (x) e_j (x) e_k (x) e_l -> e_i (x) e_k (x) e_j (x) e_l
+    na, nb = 2, 3
+    for field in (QQ, F5):
+        expected = {
+            (((i * nb + k) * na + j) * nb + ell,   # row of e_i (x) e_k (x) e_j (x) e_l
+             ((i * na + j) * nb + k) * nb + ell): 1  # column of e_i (x) e_j (x) e_k (x) e_l
+            for i in range(na) for j in range(na)
+            for k in range(nb) for ell in range(nb)}
+        x = interchange(field, Space(na), Space(nb))
+        assert x.shape() == (na * nb * na * nb, na * na * nb * nb)
+        assert x == LinMap(field, x.domain, x.codomain, expected)
 
 
 def test_first_difference_frozen_witness():

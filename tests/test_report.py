@@ -17,7 +17,8 @@ import json
 import pytest
 
 from braceforge import (AxiomReport, BraceForgeError, CayleyTable, CheckEntry,
-                        LinMap, LeftModuleData, PrimeField, QQ, RightModuleData,
+                        LinMap, LeftModuleData, MatchedPairData,
+                        OppBraceTripleData, PrimeField, QQ, RightModuleData,
                         SkewBraceData, adjoint_action, build_deformed_hopf,
                         check_antipode_properties, check_brace_identities,
                         check_brace_morphism, check_group, check_hopf,
@@ -30,16 +31,18 @@ from braceforge import (AxiomReport, BraceForgeError, CayleyTable, CheckEntry,
                         check_skew_brace, enumerate_skew_braces, functor_F,
                         functor_G, functor_P, functor_Q, gamma, group_algebra,
                         group_tables, groups_of_order, linearize, make_hopf,
-                        obt_from_matched_pair, parse_field, phi,
-                        roundtrip_FG, roundtrip_GF, roundtrip_PQ,
-                        roundtrip_QP, trivial_brace)
+                        obt_from_matched_pair, opposite_hopf, parse_field,
+                        phi, roundtrip_FG, roundtrip_GF, roundtrip_PQ,
+                        roundtrip_QP, symmetric_3, trivial_brace)
 from braceforge.brace import BRACE_MAPS
 from braceforge.errors import (BraceAxiomsFailed, MpAxiomsFailed, NotAGroup,
-                               ObtAxiomsFailed, PrereqFailed,
+                               NotCocommutative, ObtAxiomsFailed, PrereqFailed,
                                SkewBraceAxiomsFailed)
 from braceforge.hopf import HOPF_MAPS
 from braceforge.matched import MP_EXTRA_MAPS
 from braceforge.obt import OBT_EXTRA_MAPS
+
+from mutants import dual_group_hopf, trivial_left_action, trivial_right_action
 
 F5 = PrimeField(5)
 
@@ -217,6 +220,45 @@ def report_lines(max_order: int, variant_specs=("Fp:5",)) -> list[str]:
 def test_reports_and_gate_errors_are_frozen():
     text = "\n".join(report_lines(4))
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORTS_SHA256
+
+
+def test_cocommutativity_gates_are_frozen():
+    # The digest above never reaches these gates: a doubled constant of a
+    # group-like coproduct leaves it cocommutative.  Class and message of
+    # every call path, frozen from the build in which each gate was a
+    # hand-written is_cocommutative check.
+    h = dual_group_hopf(symmetric_3(), QQ)
+    act = trivial_left_action(h, h.space)
+    t = OppBraceTripleData(hopf=h, action=act, involution=h.antipode)
+    b = trivial_brace(h)
+    m = MatchedPairData(first=h, second=h, left_action=act,
+                        right_action=trivial_right_action(h.space, h))
+    deformation = "deformation needs a cocommutative coproduct"
+    extraction = "triple extraction needs a cocommutative coproduct"
+    diagonal = "diagonal matched pairs need a cocommutative coproduct"
+    pair = "matched pair extraction needs cocommutativity"
+    cases = [
+        (opposite_hopf, h, "opposite product needs a cocommutative coproduct"),
+        (build_deformed_hopf, t, deformation),
+        (functor_P, t, deformation),
+        (roundtrip_QP, t, deformation),
+        (check_lemma_mu_recovery, t,
+         "recovery lemma needs a cocommutative coproduct"),
+        (functor_Q, b, extraction),
+        (roundtrip_PQ, b, extraction),
+        (phi, b, "phi needs a cocommutative coproduct"),
+        (functor_F, b, pair),
+        (roundtrip_GF, b, pair),
+        (check_mp_over_A, m, diagonal),
+        (functor_G, m, diagonal),
+        (obt_from_matched_pair, m, diagonal),
+        (roundtrip_FG, m, diagonal),
+    ]
+    for func, arg, message in cases:
+        with pytest.raises(BraceForgeError) as info:
+            func(arg)
+        assert (type(info.value), str(info.value)) == \
+            (NotCocommutative, message), func.__name__
 
 
 # ---------------------------------------------------------------------------
