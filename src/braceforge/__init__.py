@@ -22,7 +22,7 @@ from .errors import (BraceAxiomsFailed, BraceForgeError, CanonicalFormError,
 from .hopf import (AlgebraData, CoalgebraData, HopfAlgebraData, check_algebra,
                    check_antipode_properties, check_coalgebra, check_hopf,
                    check_hopf_morphism, convolution_unit, convolve,
-                   group_algebra, is_commutative, is_cocommutative, make_hopf,
+                   group_algebra, is_commutative, is_cocommutative,
                    opposite_hopf)
 from .linmap import (LinMap, PrimeField, QQ, Rationals, Space, braiding,
                      compose, equal, first_difference, parse_field, tensor)

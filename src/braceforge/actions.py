@@ -25,7 +25,7 @@ class LeftModuleData:
 
     def __post_init__(self):
         h, m = self.hopf.space.dim, self.carrier.dim
-        _check_map(self.action, h * m, m, self.hopf.field, "left action")
+        _check_map(self.action, (m, h * m), self.hopf.field, "left action")
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ class RightModuleData:
 
     def __post_init__(self):
         h, m = self.hopf.space.dim, self.carrier.dim
-        _check_map(self.action, m * h, m, self.hopf.field, "right action")
+        _check_map(self.action, (m, m * h), self.hopf.field, "right action")
 
 
 def check_left_module(m: LeftModuleData) -> AxiomReport:

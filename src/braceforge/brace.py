@@ -10,9 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BraceAxiomsFailed, PrereqFailed
-from .hopf import (AlgebraData, CoalgebraData, HopfAlgebraData, _check_map,
-                   check_hopf, check_hopf_morphism, deform,
-                   require_cocommutative)
+from .hopf import (HopfAlgebraData, _check_maps, check_hopf,
+                   check_hopf_morphism, deform, require_cocommutative)
 from .linmap import (LinMap, Space, braiding, compose, equation_entry,
                      interchange, tensor)
 from .report import AxiomReport
@@ -36,30 +35,19 @@ class HopfBraceData:
     meta: dict | None = None
 
     def __post_init__(self):
-        n, field = self.space.dim, self.unit.field
-        _check_map(self.unit, 1, n, field, "unit")
-        _check_map(self.counit, n, 1, field, "counit")
-        _check_map(self.coproduct, n, n * n, field, "coproduct")
-        for name in ("product1", "product2"):
-            _check_map(getattr(self, name), n * n, n, field, name)
-        for name in ("antipode1", "antipode2"):
-            _check_map(getattr(self, name), n, n, field, name)
+        _check_maps(self, BRACE_MAPS, self.space.dim, self.field)
 
     @property
     def field(self):
         return self.unit.field
 
     def first(self) -> HopfAlgebraData:
-        return HopfAlgebraData(
-            algebra=AlgebraData(self.space, self.unit, self.product1),
-            coalgebra=CoalgebraData(self.space, self.counit, self.coproduct),
-            antipode=self.antipode1)
+        return HopfAlgebraData(self.unit, self.product1, self.counit,
+                               self.coproduct, self.antipode1)
 
     def second(self) -> HopfAlgebraData:
-        return HopfAlgebraData(
-            algebra=AlgebraData(self.space, self.unit, self.product2),
-            coalgebra=CoalgebraData(self.space, self.counit, self.coproduct),
-            antipode=self.antipode2)
+        return HopfAlgebraData(self.unit, self.product2, self.counit,
+                               self.coproduct, self.antipode2)
 
 
 def gamma(b: HopfBraceData) -> LinMap:

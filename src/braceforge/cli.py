@@ -109,7 +109,13 @@ def _cmd_roundtrip(args) -> int:
     return _emit_report(rep, args.json, f"roundtrip {args.which} {args.file}")
 
 
+def _require_max_order(max_order: int) -> None:
+    if max_order < 1:
+        raise ValueError(f"--max-order must be at least 1, got {max_order}")
+
+
 def _cmd_enumerate(args) -> int:
+    _require_max_order(args.max_order)
     spec = args.group
     if spec.startswith("builtin:"):
         table = builtin_group(spec[len("builtin:"):])
@@ -197,8 +203,7 @@ def _requested_workers() -> int:
 
 
 def _cmd_suite(args) -> int:
-    if args.max_order < 1:
-        raise ValueError(f"--max-order must be at least 1, got {args.max_order}")
+    _require_max_order(args.max_order)
     field = parse_field(args.field)  # validates the field string early
     requested = _requested_workers()
     groups_of_order(args.max_order)  # past the catalogue: fail before any work
@@ -288,20 +293,16 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (StorageError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (_AxiomsFailed, NotAGroup) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if exc.report is not None:
-            print(exc.report, file=sys.stderr)
-        return 1
+        code, prefix, error = 1, "error", exc
     except (NotCocommutative, NotDiagonal, PrereqFailed, OrderTooLarge) as exc:
-        print(f"precondition: {exc}", file=sys.stderr)
-        return 3
-    except BraceForgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, prefix, error = 3, "precondition", exc
+    except (BraceForgeError, ValueError) as exc:
+        code, prefix, error = 2, "error", exc
+    print(f"{prefix}: {error}", file=sys.stderr)
+    if getattr(error, "report", None) is not None:  # the gate's witnesses
+        print(error.report, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

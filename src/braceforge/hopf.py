@@ -21,16 +21,38 @@ from .report import AxiomReport
 from .skewbraces import CayleyTable, check_group
 
 
-def _require(cond: bool, message: str, exc=DimensionMismatch) -> None:
-    if not cond:
-        raise exc(message)
-
-
-def _check_map(f: LinMap, dom: int, cod: int, field, what: str) -> None:
-    _require(f.domain.dim == dom and f.codomain.dim == cod,
-             f"{what} must be {cod}x{dom}, got {f.codomain.dim}x{f.domain.dim}")
+def _check_map(f: LinMap, shape: tuple[int, int], field, what: str) -> None:
+    """Raise unless f has the given (rows, cols) shape and field."""
+    if f.shape() != shape:
+        raise DimensionMismatch(f"{what} must be {shape[0]}x{shape[1]}, "
+                                f"got {f.codomain.dim}x{f.domain.dim}")
     if f.field != field:
         raise FieldMismatch(f"{what} is over {f.field.name}, expected {field.name}")
+
+
+# The structure maps of a Hopf algebra, in the order reports compare them.
+HOPF_MAPS = ("unit", "counit", "coproduct", "product", "antipode")
+
+# Every structure map on one carrier H, as (r, c) for a map H^(x)c -> H^(x)r:
+# on an n-dimensional carrier its matrix is n**r x n**c.
+MAP_SHAPES = {
+    "unit": (1, 0), "counit": (0, 1), "coproduct": (2, 1),
+    **dict.fromkeys(("product", "product1", "product2", "action"), (1, 2)),
+    **dict.fromkeys(("antipode", "antipode1", "antipode2", "involution"), (1, 1)),
+}
+
+
+def _shapes(names: tuple[str, ...], n: int,
+            prefix: str = "") -> dict[str, tuple[int, int]]:
+    """(rows, cols) of each named map on an n-dimensional carrier."""
+    return {prefix + name: tuple(n ** k for k in MAP_SHAPES[name])
+            for name in names}
+
+
+def _check_maps(record, names: tuple[str, ...], n: int, field) -> None:
+    """Shape and field of each named map of record, in order."""
+    for name, shape in _shapes(names, n).items():
+        _check_map(getattr(record, name), shape, field, name)
 
 
 @dataclass(frozen=True)
@@ -40,9 +62,7 @@ class AlgebraData:
     product: LinMap
 
     def __post_init__(self):
-        n, field = self.space.dim, self.unit.field
-        _check_map(self.unit, 1, n, field, "unit")
-        _check_map(self.product, n * n, n, field, "product")
+        _check_maps(self, ("unit", "product"), self.space.dim, self.field)
 
     @property
     def field(self):
@@ -56,69 +76,42 @@ class CoalgebraData:
     coproduct: LinMap
 
     def __post_init__(self):
-        n, field = self.space.dim, self.counit.field
-        _check_map(self.counit, n, 1, field, "counit")
-        _check_map(self.coproduct, n, n * n, field, "coproduct")
+        _check_maps(self, ("counit", "coproduct"), self.space.dim, self.field)
 
     @property
     def field(self):
         return self.counit.field
 
 
-# The structure maps of a Hopf algebra, in the order reports compare them.
-HOPF_MAPS = ("unit", "counit", "coproduct", "product", "antipode")
-
-
 @dataclass(frozen=True)
 class HopfAlgebraData:
-    algebra: AlgebraData
-    coalgebra: CoalgebraData
+    """The five structure maps on the carrier of the unit, over its field."""
+
+    unit: LinMap
+    product: LinMap
+    counit: LinMap
+    coproduct: LinMap
     antipode: LinMap
     meta: dict | None = None
 
     def __post_init__(self):
-        n = self.algebra.space.dim
-        _require(self.coalgebra.space.dim == n,
-                 "algebra and coalgebra live on different spaces")
-        _check_map(self.antipode, n, n, self.algebra.field, "antipode")
-        if self.coalgebra.field != self.algebra.field:
-            raise FieldMismatch("algebra and coalgebra fields differ")
+        _check_maps(self, HOPF_MAPS, self.space.dim, self.field)
 
     @property
     def space(self) -> Space:
-        return self.algebra.space
+        return self.unit.codomain
 
     @property
     def field(self):
-        return self.algebra.field
+        return self.unit.field
 
     @property
-    def unit(self) -> LinMap:
-        return self.algebra.unit
+    def algebra(self) -> AlgebraData:
+        return AlgebraData(self.space, self.unit, self.product)
 
     @property
-    def product(self) -> LinMap:
-        return self.algebra.product
-
-    @property
-    def counit(self) -> LinMap:
-        return self.coalgebra.counit
-
-    @property
-    def coproduct(self) -> LinMap:
-        return self.coalgebra.coproduct
-
-
-def make_hopf(unit: LinMap, product: LinMap, counit: LinMap, coproduct: LinMap,
-              antipode: LinMap, meta: dict | None = None) -> HopfAlgebraData:
-    """Assemble HopfAlgebraData from the five structure maps."""
-    space = unit.codomain
-    return HopfAlgebraData(
-        algebra=AlgebraData(space, unit, product),
-        coalgebra=CoalgebraData(space, counit, coproduct),
-        antipode=antipode,
-        meta=meta,
-    )
+    def coalgebra(self) -> CoalgebraData:
+        return CoalgebraData(self.space, self.counit, self.coproduct)
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +169,11 @@ def check_hopf(h: HopfAlgebraData) -> AxiomReport:
     field, space = h.field, h.space
     ident = LinMap.identity(field, space)
     id_k = LinMap.identity(field, Space(1))
-    neutral = convolution_unit(h.coalgebra, h.algebra)
+    alg, coalg = h.algebra, h.coalgebra
+    neutral = convolution_unit(coalg, alg)
     return AxiomReport((
-        *check_algebra(h.algebra).prefixed("algebra."),
-        *check_coalgebra(h.coalgebra).prefixed("coalgebra."),
+        *check_algebra(alg).prefixed("algebra."),
+        *check_coalgebra(coalg).prefixed("coalgebra."),
         # unit and product are coalgebra morphisms
         equation_entry(
             "bialgebra.unit.counit", compose(h.counit, h.unit), id_k),
@@ -197,10 +191,10 @@ def check_hopf(h: HopfAlgebraData) -> AxiomReport:
                     tensor(h.coproduct, h.coproduct))),
         equation_entry(
             "antipode.left",
-            convolve(h.antipode, ident, h.coalgebra, h.algebra), neutral),
+            convolve(h.antipode, ident, coalg, alg), neutral),
         equation_entry(
             "antipode.right",
-            convolve(ident, h.antipode, h.coalgebra, h.algebra), neutral),
+            convolve(ident, h.antipode, coalg, alg), neutral),
     ))
 
 
@@ -257,11 +251,8 @@ def opposite_hopf(h: HopfAlgebraData) -> HopfAlgebraData:
     """
     require_cocommutative(h, "opposite product needs a cocommutative coproduct")
     swap = braiding(h.field, h.space, h.space)
-    return HopfAlgebraData(
-        algebra=AlgebraData(h.space, h.unit, compose(h.product, swap)),
-        coalgebra=h.coalgebra,
-        antipode=h.antipode,
-    )
+    return HopfAlgebraData(h.unit, compose(h.product, swap), h.counit,
+                           h.coproduct, h.antipode)
 
 
 def group_algebra(table: CayleyTable, field) -> HopfAlgebraData:
@@ -281,7 +272,7 @@ def group_algebra(table: CayleyTable, field) -> HopfAlgebraData:
     antipode = LinMap(field, space, space,
                       {(table.inverse(a), a): one for a in range(n)})
     meta = {"label": table.label} if table.label else None
-    return make_hopf(unit, product, counit, coproduct, antipode, meta)
+    return HopfAlgebraData(unit, product, counit, coproduct, antipode, meta)
 
 
 def check_hopf_morphism(f: LinMap, src: HopfAlgebraData,
@@ -292,7 +283,7 @@ def check_hopf_morphism(f: LinMap, src: HopfAlgebraData,
     derived. prefix; it cannot fail when the primary entries pass on
     valid Hopf data.
     """
-    _check_map(f, src.space.dim, dst.space.dim, src.field, "morphism")
+    _check_map(f, (dst.space.dim, src.space.dim), src.field, "morphism")
     ff = tensor(f, f)
     return AxiomReport((
         equation_entry("algebra.unit", compose(f, src.unit), dst.unit),

@@ -67,6 +67,7 @@ _Q_RE = re.compile(r"(0|-?[1-9][0-9]*)(?:/([1-9][0-9]*))?")
 _FP_RE = re.compile(r"0|[1-9][0-9]*")
 
 
+@dataclass(frozen=True)
 class Rationals:
     """Arbitrary-precision rational scalars, always reduced, denominator > 0.
 
@@ -125,15 +126,6 @@ class Rationals:
             return str(v.numerator)
         return f"{v.numerator}/{v.denominator}"
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Rationals)
-
-    def __hash__(self) -> int:
-        return hash("Q")
-
-    def __repr__(self) -> str:
-        return "Rationals()"
-
 
 _Q_ZERO = Fraction(0)
 _Q_ONE = Fraction(1)
@@ -141,24 +133,19 @@ _Q_ONE = Fraction(1)
 QQ = Rationals()
 
 
+@dataclass(frozen=True)
 class PrimeField:
     """Integers mod a prime p, representatives in [0, p).
 
     Canonical string form: the decimal residue, no leading zeros.
     """
 
-    __slots__ = ("p",)
+    p: int
 
-    def __init__(self, p: int):
+    def __post_init__(self):
+        p = self.p
         if not isinstance(p, int) or isinstance(p, bool) or not _is_prime(p):
             raise ValueError(f"modulus must be a prime integer, got {p!r}")
-        object.__setattr__(self, "p", p)
-
-    def __setattr__(self, *a):
-        raise AttributeError("PrimeField is immutable")
-
-    def __reduce__(self):
-        return (PrimeField, (self.p,))
 
     @property
     def name(self) -> str:
@@ -202,15 +189,6 @@ class PrimeField:
 
     def format(self, v) -> str:
         return str(v % self.p)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self) -> int:
-        return hash(("Fp", self.p))
-
-    def __repr__(self) -> str:
-        return f"PrimeField({self.p})"
 
 
 Field = Union[Rationals, PrimeField]

@@ -40,8 +40,8 @@ class MatchedPairData:
 
     def __post_init__(self):
         na, nh, field = self.first.space.dim, self.second.space.dim, self.first.field
-        _check_map(self.left_action, nh * na, na, field, "left action")
-        _check_map(self.right_action, nh * na, nh, field, "right action")
+        _check_map(self.left_action, (na, nh * na), field, "left action")
+        _check_map(self.right_action, (nh, nh * na), field, "right action")
 
     @property
     def field(self):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .brace import BRACE_MAPS, HopfBraceData, gamma, require_valid_brace
 from .errors import ObtAxiomsFailed, PrereqFailed
-from .hopf import (HOPF_MAPS, HopfAlgebraData, _check_map, check_hopf,
+from .hopf import (HOPF_MAPS, HopfAlgebraData, _check_maps, check_hopf,
                    check_hopf_morphism, deform, require_cocommutative)
 from .linmap import (LinMap, braiding, componentwise, compose, equation_entry,
                      interchange, tensor)
@@ -34,9 +34,7 @@ class OppBraceTripleData:
     meta: dict | None = None
 
     def __post_init__(self):
-        n, field = self.hopf.space.dim, self.hopf.field
-        _check_map(self.action, n * n, n, field, "action")
-        _check_map(self.involution, n, n, field, "involution")
+        _check_maps(self, OBT_EXTRA_MAPS, self.hopf.space.dim, self.field)
 
     @property
     def field(self):

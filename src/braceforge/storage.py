@@ -23,7 +23,7 @@ from typing import Any
 
 from .brace import BRACE_MAPS, HopfBraceData
 from .errors import CanonicalFormError, ParseError, SchemaError, ShapeError
-from .hopf import HOPF_MAPS, HopfAlgebraData, make_hopf
+from .hopf import HOPF_MAPS, HopfAlgebraData, _shapes
 from .linmap import LinMap, Space, parse_field
 from .matched import MP_EXTRA_MAPS, MatchedPairData
 from .obt import OBT_EXTRA_MAPS, OppBraceTripleData
@@ -40,17 +40,6 @@ _TYPES = {
     "skew_brace": SkewBraceData,
 }
 KINDS = tuple(_TYPES)
-
-
-def _shapes(names: tuple[str, ...], n: int,
-            prefix: str = "") -> dict[str, tuple[int, int]]:
-    """(rows, cols) of each named map on an n-dimensional carrier."""
-    square, mult = (n, n), (n, n * n)
-    shape = {"unit": (n, 1), "counit": (1, n), "coproduct": (n * n, n),
-             "product": mult, "product1": mult, "product2": mult, "action": mult,
-             "antipode": square, "antipode1": square, "antipode2": square,
-             "involution": square}
-    return {prefix + name: shape[name] for name in names}
 
 
 def _map_shapes(kind: str, dims: dict[str, int]) -> dict[str, tuple[int, int]]:
@@ -118,6 +107,13 @@ def _get_dim(doc: dict, key: str) -> int:
     return v
 
 
+def _get_identity(doc: dict, n: int) -> int:
+    v = doc.get("identity")
+    if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+        raise SchemaError("identity must be an index in [0, order)")
+    return v
+
+
 def _get_meta(doc: dict) -> dict | None:
     meta = doc.get("metadata")
     if meta is None:
@@ -160,9 +156,7 @@ def from_document(doc: Any):
         _expect_keys(doc, {"format", "kind", "order", "identity", "table"},
                      {"metadata"}, "group")
         n = _get_dim(doc, "order")
-        ident = doc.get("identity")
-        if not isinstance(ident, int) or isinstance(ident, bool) or not 0 <= ident < n:
-            raise SchemaError("identity must be an index in [0, order)")
+        ident = _get_identity(doc, n)
         table = _parse_int_table(doc["table"], n, "table")
         return CayleyTable(table, ident, meta)
 
@@ -170,9 +164,7 @@ def from_document(doc: Any):
         _expect_keys(doc, {"format", "kind", "order", "identity", "dot", "circ"},
                      {"metadata"}, "skew_brace")
         n = _get_dim(doc, "order")
-        ident = doc.get("identity")
-        if not isinstance(ident, int) or isinstance(ident, bool) or not 0 <= ident < n:
-            raise SchemaError("identity must be an index in [0, order)")
+        ident = _get_identity(doc, n)
         dot = CayleyTable(_parse_int_table(doc["dot"], n, "dot"), ident)
         circ = CayleyTable(_parse_int_table(doc["circ"], n, "circ"), ident)
         return SkewBraceData(dot, circ, meta)
@@ -191,7 +183,7 @@ def from_document(doc: Any):
               for name, shape in shapes.items()}
 
     if kind == "hopf":
-        return make_hopf(**parsed, meta=meta)
+        return HopfAlgebraData(**parsed, meta=meta)
     if kind == "brace":
         return HopfBraceData(space=Space(dims["dim"]), **parsed, meta=meta)
     if kind == "obt":
@@ -203,7 +195,7 @@ def from_document(doc: Any):
 
 def _pop_hopf(parsed: dict[str, LinMap], prefix: str) -> HopfAlgebraData:
     """The Hopf component stored under prefix, removed from parsed."""
-    return make_hopf(**{name: parsed.pop(prefix + name) for name in HOPF_MAPS})
+    return HopfAlgebraData(**{name: parsed.pop(prefix + name) for name in HOPF_MAPS})
 
 
 # ---------------------------------------------------------------------------

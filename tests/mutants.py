@@ -8,11 +8,11 @@ each other.
 """
 from fractions import Fraction
 
-from braceforge import (HopfBraceData, LinMap, MatchedPairData,
-                        OppBraceTripleData, QQ, Space, check_algebra,
-                        check_coalgebra, check_hopf, check_hopf_brace,
-                        check_matched_pair, check_obt, cyclic, group_algebra,
-                        klein_4, make_hopf, symmetric_3, tensor)
+from braceforge import (HopfAlgebraData, HopfBraceData, LinMap,
+                        MatchedPairData, OppBraceTripleData, QQ, Space,
+                        check_algebra, check_coalgebra, check_hopf,
+                        check_hopf_brace, check_matched_pair, check_obt,
+                        cyclic, group_algebra, klein_4, symmetric_3, tensor)
 from braceforge.hopf import AlgebraData, CoalgebraData
 
 
@@ -51,7 +51,7 @@ def dual_group_hopf(table, field):
                         for u in range(n) for v in range(n)})
     antipode = LinMap(field, sp, sp,
                       {(table.inverse(u), u): one for u in range(n)})
-    return make_hopf(unit, product, counit, coproduct, antipode)
+    return HopfAlgebraData(unit, product, counit, coproduct, antipode)
 
 
 _Z3 = group_algebra(cyclic(3), QQ)
@@ -75,8 +75,8 @@ def broken_coalgebra() -> CoalgebraData:
 
 def broken_antipode():
     # identity is not a convolution inverse on a nontrivial group algebra
-    return make_hopf(_Z3.unit, _Z3.product, _Z3.counit, _Z3.coproduct,
-                     LinMap.identity(QQ, _Z3.space))
+    return HopfAlgebraData(_Z3.unit, _Z3.product, _Z3.counit, _Z3.coproduct,
+                           LinMap.identity(QQ, _Z3.space))
 
 
 # relabeling of the cyclic table so the order-2 element is 1; a group, but

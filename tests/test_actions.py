@@ -1,11 +1,11 @@
 import pytest
 
-from braceforge import (LeftModuleData, LinMap, QQ, RightModuleData,
-                        adjoint_action, check_left_module, check_module_algebra,
-                        check_module_coalgebra, check_right_module,
-                        check_right_module_coalgebra, compose, cyclic,
-                        group_algebra, left_tensor_square_action, make_hopf,
-                        symmetric_3, tensor)
+from braceforge import (HopfAlgebraData, LeftModuleData, LinMap, QQ,
+                        RightModuleData, adjoint_action, check_left_module,
+                        check_module_algebra, check_module_coalgebra,
+                        check_right_module, check_right_module_coalgebra,
+                        compose, cyclic, group_algebra,
+                        left_tensor_square_action, symmetric_3, tensor)
 from braceforge.errors import PrereqFailed
 
 from mutants import reentry, trivial_left_action, trivial_right_action
@@ -162,7 +162,7 @@ def test_right_module_coalgebra_gate():
 
 def test_adjoint_gate_requires_hopf():
     z3 = group_algebra(cyclic(3), QQ)
-    broken = make_hopf(z3.unit, z3.product, z3.counit, z3.coproduct,
-                       LinMap.identity(QQ, z3.space))
+    broken = HopfAlgebraData(z3.unit, z3.product, z3.counit, z3.coproduct,
+                             LinMap.identity(QQ, z3.space))
     with pytest.raises(PrereqFailed):
         adjoint_action(broken)

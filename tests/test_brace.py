@@ -1,14 +1,13 @@
 import pytest
 
-from braceforge import (CayleyTable, LeftModuleData, LinMap, QQ,
-                        RightModuleData, check_brace_identities,
+from braceforge import (CayleyTable, HopfAlgebraData, LeftModuleData, LinMap,
+                        QQ, RightModuleData, check_brace_identities,
                         check_brace_morphism, check_hopf_brace,
                         check_left_module, check_module_algebra,
                         check_module_coalgebra, check_right_module,
                         check_right_module_coalgebra, cyclic,
                         enumerate_skew_braces, gamma, group_algebra, linearize,
-                        make_hopf, phi, require_valid_brace, symmetric_3,
-                        trivial_brace)
+                        phi, require_valid_brace, symmetric_3, trivial_brace)
 from braceforge.errors import (BraceAxiomsFailed, NotCocommutative,
                                PrereqFailed)
 
@@ -56,8 +55,8 @@ def test_trivial_braces_pass():
 
 def test_trivial_brace_gate():
     z3 = group_algebra(cyclic(3), QQ)
-    broken = make_hopf(z3.unit, z3.product, z3.counit, z3.coproduct,
-                       LinMap.identity(QQ, z3.space))
+    broken = HopfAlgebraData(z3.unit, z3.product, z3.counit, z3.coproduct,
+                             LinMap.identity(QQ, z3.space))
     with pytest.raises(PrereqFailed):
         trivial_brace(broken)
 

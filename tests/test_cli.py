@@ -8,14 +8,16 @@ from pathlib import Path
 import pytest
 
 import braceforge
-from braceforge import (CayleyTable, LinMap, QQ, check_hopf_brace, cyclic,
+from braceforge import (CayleyTable, HopfAlgebraData, LinMap,
+                        OppBraceTripleData, QQ, SkewBraceData, check_group,
+                        check_hopf, check_hopf_brace, cyclic,
                         enumerate_skew_braces, functor_F, functor_Q,
-                        group_algebra, linearize, make_hopf, save, symmetric_3,
+                        group_algebra, linearize, load, save, symmetric_3,
                         trivial_brace)
 from braceforge.cli import main
 from braceforge.storage import KINDS
 
-from mutants import dual_group_hopf
+from mutants import dual_group_hopf, trivial_left_action
 
 
 def run(*argv, capsys=None):
@@ -30,8 +32,9 @@ def files(tmp_path):
     save(symmetric_3(), tmp_path / "s3.json")
     save(group_algebra(symmetric_3(), QQ), tmp_path / "h_s3.json")
     z3 = group_algebra(cyclic(3), QQ)
-    save(make_hopf(z3.unit, z3.product, z3.counit, z3.coproduct,
-                   LinMap.identity(QQ, z3.space)), tmp_path / "broken.json")
+    broken = HopfAlgebraData(z3.unit, z3.product, z3.counit, z3.coproduct,
+                             LinMap.identity(QQ, z3.space))
+    save(broken, tmp_path / "broken.json")
     save(trivial_brace(dual_group_hopf(symmetric_3(), QQ)),
          tmp_path / "dual_brace.json")
     paths.update(s3=tmp_path / "s3.json", hopf=tmp_path / "h_s3.json",
@@ -213,6 +216,40 @@ def test_enumerate_order_guard_exits_3(files, capsys):
                        "--max-order", "4", capsys=capsys)
     assert code == 3
     assert "precondition:" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_enumerate_max_order_below_1_exits_2(value, capsys):
+    code, out, err = run("enumerate", "skew-braces", "--group", "builtin:Z3",
+                         "--max-order", value, capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: --max-order must be at least 1, got {value}\n"
+
+
+def test_check_gate_prints_report_exits_3(files, capsys):
+    broken = load(files["broken"])
+    triple = OppBraceTripleData(
+        hopf=broken, action=trivial_left_action(broken, broken.space),
+        involution=broken.antipode)
+    save(triple, files["dir"] / "t.json")
+    code, out, err = run("check", "obt", str(files["dir"] / "t.json"),
+                         capsys=capsys)
+    assert (code, out) == (3, "")
+    assert err == ("precondition: triple axioms are gated on check_hopf\n"
+                   f"{check_hopf(broken)}\n")
+
+
+def test_linearize_gate_prints_report_exits_3(files, capsys):
+    rows = [list(r) for r in cyclic(3).table]
+    rows[1][1] = 1  # g.g := g
+    circ = CayleyTable(rows, 0)
+    save(SkewBraceData(cyclic(3), circ), files["dir"] / "bad_circ.json")
+    code, out, err = run("linearize", str(files["dir"] / "bad_circ.json"),
+                         "--field", "Q", "-o", str(files["dir"] / "x.json"),
+                         capsys=capsys)
+    assert (code, out) == (3, "")
+    assert err == ("precondition: circ table is not a group\n"
+                   f"{check_group(circ)}\n")
 
 
 def test_unknown_builtin_exits_2(files, capsys):

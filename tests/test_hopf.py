@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from braceforge import (CayleyTable, LinMap, PrimeField, QQ, Space, check_hopf,
+from braceforge import (CayleyTable, HopfAlgebraData, LinMap, PrimeField, QQ,
+                        Space, check_hopf,
                         check_antipode_properties, check_hopf_morphism, compose,
                         convolution_unit, convolve, cyclic, dihedral, equal,
                         group_algebra, groups_of_order, is_commutative,
-                        is_cocommutative, make_hopf, opposite_hopf,
+                        is_cocommutative, opposite_hopf,
                         quaternion_8, symmetric_3, tensor)
 from braceforge.errors import (DimensionMismatch, FieldMismatch, NotAGroup,
                                NotCocommutative, PrereqFailed)
@@ -126,8 +127,8 @@ def test_antipode_uniqueness_via_convolution_inverse():
 
 def test_check_hopf_identity_antipode_fails_at_g():
     z3 = group_algebra(cyclic(3), QQ)
-    broken = make_hopf(z3.unit, z3.product, z3.counit, z3.coproduct,
-                       LinMap.identity(QQ, z3.space))
+    broken = HopfAlgebraData(z3.unit, z3.product, z3.counit, z3.coproduct,
+                             LinMap.identity(QQ, z3.space))
     rep = check_hopf(broken)
     assert not rep.ok
     entry = rep.entry("antipode.left")
@@ -171,8 +172,8 @@ def test_antipode_properties_sweep_small_groups():
 
 def test_antipode_properties_gate():
     z3 = group_algebra(cyclic(3), QQ)
-    broken = make_hopf(z3.unit, z3.product, z3.counit, z3.coproduct,
-                       LinMap.identity(QQ, z3.space))
+    broken = HopfAlgebraData(z3.unit, z3.product, z3.counit, z3.coproduct,
+                             LinMap.identity(QQ, z3.space))
     with pytest.raises(PrereqFailed) as exc:
         check_antipode_properties(broken)
     assert not exc.value.report.ok
@@ -258,4 +259,4 @@ def test_make_hopf_field_mismatch():
     h = group_algebra(cyclic(2), QQ)
     bad = LinMap.identity(F5, Space(2))
     with pytest.raises(FieldMismatch):
-        make_hopf(h.unit, h.product, h.counit, h.coproduct, bad)
+        HopfAlgebraData(h.unit, h.product, h.counit, h.coproduct, bad)

@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -24,6 +25,22 @@ def test_prime_validation():
     for n in (-3, 0, 1, 4, 9, 15, 561, 1105, 2047, 3215031751):
         with pytest.raises(ValueError):
             PrimeField(n)
+
+
+@pytest.mark.parametrize("field", [QQ, F5, F7])
+def test_field_values_pickle_compare_hash_and_freeze(field):
+    copy = pickle.loads(pickle.dumps(field))
+    assert copy == field and hash(copy) == hash(field)
+    assert copy.name == field.name
+    others = [f for f in (QQ, F5, F7) if f is not field]
+    assert all(field != f for f in others)
+    assert len({QQ, F5, F7, copy}) == 3
+    with pytest.raises(AttributeError):
+        field.p = 11
+    m = LinMap.from_rows(field, [[1, 2], [0, 3]])
+    m_copy = pickle.loads(pickle.dumps(m))
+    assert m_copy == m and hash(m_copy) == hash(m)
+    assert m_copy.field == field
 
 
 def test_rationals_parse_canonical():

@@ -115,9 +115,9 @@ def test_obt_from_matched_pair_agrees_with_q_of_g(corpus):
 
 def test_prereq_gate_on_broken_component():
     z3 = group_algebra(cyclic(3), QQ)
-    from braceforge import make_hopf
-    broken = make_hopf(z3.unit, z3.product, z3.counit, z3.coproduct,
-                       LinMap.identity(QQ, z3.space))
+    from braceforge import HopfAlgebraData
+    broken = HopfAlgebraData(z3.unit, z3.product, z3.counit, z3.coproduct,
+                             LinMap.identity(QQ, z3.space))
     m = MatchedPairData(first=broken, second=z3,
                         left_action=trivial_left_action(z3, z3.space),
                         right_action=trivial_right_action(z3.space, broken))

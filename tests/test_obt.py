@@ -2,12 +2,13 @@ from itertools import permutations, product
 
 import pytest
 
-from braceforge import (LinMap, OppBraceTripleData, QQ, build_deformed_hopf,
-                        check_hopf, check_hopf_brace, check_lemma_mu_recovery,
-                        check_obt, check_obt_morphism, compose, cyclic,
-                        functor_P, functor_Q, group_algebra, groups_of_order,
-                        make_hopf, mu_tilde, require_valid_obt, roundtrip_PQ,
-                        roundtrip_QP, symmetric_3, tensor, trivial_brace)
+from braceforge import (HopfAlgebraData, LinMap, OppBraceTripleData, QQ,
+                        build_deformed_hopf, check_hopf, check_hopf_brace,
+                        check_lemma_mu_recovery, check_obt, check_obt_morphism,
+                        compose, cyclic, functor_P, functor_Q, group_algebra,
+                        groups_of_order, mu_tilde, require_valid_obt,
+                        roundtrip_PQ, roundtrip_QP, symmetric_3, tensor,
+                        trivial_brace)
 from braceforge.errors import (NotCocommutative, ObtAxiomsFailed,
                                PrereqFailed)
 
@@ -124,8 +125,8 @@ def test_lemma_gates():
     with pytest.raises(NotCocommutative):
         check_lemma_mu_recovery(trivial_triple(dual_group_hopf(symmetric_3(), QQ)))
     z3 = group_algebra(cyclic(3), QQ)
-    broken = make_hopf(z3.unit, z3.product, z3.counit, z3.coproduct,
-                       LinMap.identity(QQ, z3.space))
+    broken = HopfAlgebraData(z3.unit, z3.product, z3.counit, z3.coproduct,
+                             LinMap.identity(QQ, z3.space))
     with pytest.raises(PrereqFailed):
         check_lemma_mu_recovery(trivial_triple(broken))
 
@@ -134,8 +135,8 @@ def test_lemma_gates():
 
 def test_check_obt_gate_requires_hopf():
     z3 = group_algebra(cyclic(3), QQ)
-    broken = make_hopf(z3.unit, z3.product, z3.counit, z3.coproduct,
-                       LinMap.identity(QQ, z3.space))
+    broken = HopfAlgebraData(z3.unit, z3.product, z3.counit, z3.coproduct,
+                             LinMap.identity(QQ, z3.space))
     with pytest.raises(PrereqFailed):
         check_obt(trivial_triple(broken))
 

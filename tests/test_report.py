@@ -17,7 +17,8 @@ import json
 import pytest
 
 from braceforge import (AxiomReport, BraceForgeError, CayleyTable, CheckEntry,
-                        LinMap, LeftModuleData, MatchedPairData,
+                        HopfAlgebraData, LinMap, LeftModuleData,
+                        MatchedPairData,
                         OppBraceTripleData, PrimeField, QQ, RightModuleData,
                         SkewBraceData, adjoint_action, build_deformed_hopf,
                         check_antipode_properties, check_brace_identities,
@@ -30,7 +31,7 @@ from braceforge import (AxiomReport, BraceForgeError, CayleyTable, CheckEntry,
                         check_right_module, check_right_module_coalgebra,
                         check_skew_brace, enumerate_skew_braces, functor_F,
                         functor_G, functor_P, functor_Q, gamma, group_algebra,
-                        group_tables, groups_of_order, linearize, make_hopf,
+                        group_tables, groups_of_order, linearize,
                         obt_from_matched_pair, opposite_hopf, parse_field,
                         phi, roundtrip_FG, roundtrip_GF, roundtrip_PQ,
                         roundtrip_QP, symmetric_3, trivial_brace)
@@ -64,7 +65,7 @@ def doubled(m: LinMap) -> LinMap:
 def _hopf_with(h, name: str):
     maps = {n: getattr(h, n) for n in HOPF_MAPS}
     maps[name] = doubled(maps[name])
-    return make_hopf(**maps)
+    return HopfAlgebraData(**maps)
 
 
 def _render(rep) -> str:
