@@ -24,7 +24,8 @@ BRACE_MAPS = ("unit", "counit", "coproduct",
 
 @dataclass(frozen=True)
 class HopfBraceData:
-    space: Space
+    """Two Hopf structures on the carrier of the unit, over its field."""
+
     unit: LinMap
     counit: LinMap
     coproduct: LinMap
@@ -36,6 +37,10 @@ class HopfBraceData:
 
     def __post_init__(self):
         _check_maps(self, BRACE_MAPS, self.space.dim, self.field)
+
+    @property
+    def space(self) -> Space:
+        return self.unit.codomain
 
     @property
     def field(self):
@@ -122,7 +127,7 @@ def trivial_brace(h: HopfAlgebraData) -> HopfBraceData:
     """Both structures equal to the given Hopf algebra."""
     check_hopf(h).require(PrereqFailed, "trivial brace is gated on check_hopf")
     return HopfBraceData(
-        space=h.space, unit=h.unit, counit=h.counit, coproduct=h.coproduct,
+        unit=h.unit, counit=h.counit, coproduct=h.coproduct,
         product1=h.product, antipode1=h.antipode,
         product2=h.product, antipode2=h.antipode)
 

@@ -87,6 +87,8 @@ def _cmd_construct(args) -> int:
         if args.field is None:
             raise StorageError("construct group-algebra requires --field")
         out = func(_load_as(args.file, kind), parse_field(args.field))
+    elif args.field is not None:
+        raise StorageError("--field applies only to construct group-algebra")
     else:
         out = func(_load_as(args.file, kind))
     storage.save(out, args.output)

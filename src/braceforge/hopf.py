@@ -57,12 +57,15 @@ def _check_maps(record, names: tuple[str, ...], n: int, field) -> None:
 
 @dataclass(frozen=True)
 class AlgebraData:
-    space: Space
     unit: LinMap
     product: LinMap
 
     def __post_init__(self):
         _check_maps(self, ("unit", "product"), self.space.dim, self.field)
+
+    @property
+    def space(self) -> Space:
+        return self.unit.codomain
 
     @property
     def field(self):
@@ -71,12 +74,15 @@ class AlgebraData:
 
 @dataclass(frozen=True)
 class CoalgebraData:
-    space: Space
     counit: LinMap
     coproduct: LinMap
 
     def __post_init__(self):
         _check_maps(self, ("counit", "coproduct"), self.space.dim, self.field)
+
+    @property
+    def space(self) -> Space:
+        return self.counit.domain
 
     @property
     def field(self):
@@ -107,11 +113,11 @@ class HopfAlgebraData:
 
     @property
     def algebra(self) -> AlgebraData:
-        return AlgebraData(self.space, self.unit, self.product)
+        return AlgebraData(self.unit, self.product)
 
     @property
     def coalgebra(self) -> CoalgebraData:
-        return CoalgebraData(self.space, self.counit, self.coproduct)
+        return CoalgebraData(self.counit, self.coproduct)
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ class MatchedPairData:
 
     def __post_init__(self):
         na, nh, field = self.first.space.dim, self.second.space.dim, self.first.field
+        _check_map(self.second.unit, (nh, 1), field, "second")
         _check_map(self.left_action, (na, nh * na), field, "left action")
         _check_map(self.right_action, (nh, nh * na), field, "right action")
 
@@ -116,8 +117,7 @@ def check_matched_pair(m: MatchedPairData) -> AxiomReport:
 
 def _is_diagonal(m: MatchedPairData) -> bool:
     a, h = m.first, m.second
-    return (a.space.dim == h.space.dim
-            and all(getattr(a, name) == getattr(h, name) for name in HOPF_MAPS))
+    return all(getattr(a, name) == getattr(h, name) for name in HOPF_MAPS)
 
 
 def check_mp_over_A(m: MatchedPairData) -> AxiomReport:

@@ -139,7 +139,7 @@ def _deformation_brace(t: OppBraceTripleData) -> HopfBraceData:
     so callers verify t first."""
     h = t.hopf
     return HopfBraceData(
-        space=h.space, unit=h.unit, counit=h.counit, coproduct=h.coproduct,
+        unit=h.unit, counit=h.counit, coproduct=h.coproduct,
         product1=mu_tilde(t), antipode1=t.involution,
         product2=h.product, antipode2=h.antipode)
 

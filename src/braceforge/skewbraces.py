@@ -398,7 +398,6 @@ def linearize(s: SkewBraceData, field):
     h1 = group_algebra(s.dot, field)
     h2 = group_algebra(s.circ, field)
     return HopfBraceData(
-        space=h1.space,
         unit=h1.unit,
         counit=h1.counit,
         coproduct=h1.coproduct,

@@ -182,10 +182,8 @@ def from_document(doc: Any):
     parsed = {name: _parse_matrix(field, maps[name], shape, f"maps.{name}")
               for name, shape in shapes.items()}
 
-    if kind == "hopf":
-        return HopfAlgebraData(**parsed, meta=meta)
-    if kind == "brace":
-        return HopfBraceData(space=Space(dims["dim"]), **parsed, meta=meta)
+    if kind in ("hopf", "brace"):
+        return _TYPES[kind](**parsed, meta=meta)
     if kind == "obt":
         hopf = _pop_hopf(parsed, "")
         return OppBraceTripleData(hopf=hopf, **parsed, meta=meta)

@@ -64,13 +64,13 @@ _V4 = group_algebra(klein_4(), QQ)
 def broken_algebra() -> AlgebraData:
     # g.g := g kills associativity at (g, g, g^2) and nothing else
     product = reentry(_Z3.product, {(2, 4): 0, (1, 4): 1})
-    return AlgebraData(_Z3.space, _Z3.unit, product)
+    return AlgebraData(_Z3.unit, product)
 
 
 def broken_coalgebra() -> CoalgebraData:
     # delta(g) := g (x) g^2 fails the left counit law but stays coassociative
     coproduct = reentry(_Z3.coproduct, {(4, 1): 0, (5, 1): 1})
-    return CoalgebraData(_Z3.space, _Z3.counit, coproduct)
+    return CoalgebraData(_Z3.counit, coproduct)
 
 
 def broken_antipode():
@@ -88,8 +88,7 @@ def broken_brace() -> HopfBraceData:
     from braceforge import CayleyTable
     other = group_algebra(CayleyTable(tuple(map(tuple, _Z4_RELABELED)), 0), QQ)
     return HopfBraceData(
-        space=_Z4.space, unit=_Z4.unit, counit=_Z4.counit,
-        coproduct=_Z4.coproduct,
+        unit=_Z4.unit, counit=_Z4.counit, coproduct=_Z4.coproduct,
         product1=_Z4.product, antipode1=_Z4.antipode,
         product2=other.product, antipode2=other.antipode)
 

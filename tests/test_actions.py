@@ -106,7 +106,7 @@ def test_regular_action_is_module_coalgebra():
 def test_broken_carrier_coproduct_fails_both_routes():
     h = group_algebra(cyclic(3), QQ)
     # pretend delta(g) = g (x) g^2
-    coa = type(h.coalgebra)(h.space, h.counit,
+    coa = type(h.coalgebra)(h.counit,
                             reentry(h.coproduct, {(4, 1): 0, (5, 1): 1}))
     rep = check_module_coalgebra(regular_left(h), coa)
     assert not rep.entry("carrier_coproduct").passed

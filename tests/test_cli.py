@@ -14,7 +14,7 @@ from braceforge import (CayleyTable, HopfAlgebraData, LinMap,
                         enumerate_skew_braces, functor_F, functor_Q,
                         group_algebra, linearize, load, save, symmetric_3,
                         trivial_brace)
-from braceforge.cli import main
+from braceforge.cli import _CONSTRUCTIONS, main
 from braceforge.storage import KINDS
 
 from mutants import dual_group_hopf, trivial_left_action
@@ -117,6 +117,25 @@ def test_group_algebra_requires_field(files, capsys):
                        "-o", str(files["dir"] / "x.json"), "--field", "F3",
                        capsys=capsys)
     assert code == 2
+
+
+def test_field_on_any_other_construction_exits_2(tmp_path, capsys):
+    b = trivial_brace(group_algebra(cyclic(2), QQ))
+    inputs = {"hopf": b.first(), "brace": b, "obt": functor_Q(b),
+              "matched_pair": functor_F(b)}
+    for kind, obj in inputs.items():
+        save(obj, tmp_path / f"{kind}.json")
+    ops = [op for op in _CONSTRUCTIONS if op != "group-algebra"]
+    assert len(ops) == 6
+    for op in ops:
+        out_path = tmp_path / f"{op}.out.json"
+        code, out, err = run("construct", op,
+                             str(tmp_path / f"{_CONSTRUCTIONS[op][0]}.json"),
+                             "-o", str(out_path), "--field", "Fp:5",
+                             capsys=capsys)
+        assert (code, out) == (2, ""), op
+        assert err == "error: --field applies only to construct group-algebra\n"
+        assert not out_path.exists()
 
 
 def test_construct_chain_and_roundtrips(files, capsys):
