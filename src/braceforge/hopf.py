@@ -268,12 +268,13 @@ def group_algebra(table: CayleyTable, field) -> HopfAlgebraData:
     n, e = table.order, table.identity
     one = field.one()
     space = Space(n)
+    square = space.tensor(space)
     unit = LinMap(field, Space(1), space, {(e, 0): one})
-    product = LinMap(field, Space(n * n), space,
+    product = LinMap(field, square, space,
                      {(table.table[a][b], a * n + b): one
                       for a in range(n) for b in range(n)})
     counit = LinMap(field, space, Space(1), {(0, a): one for a in range(n)})
-    coproduct = LinMap(field, space, Space(n * n),
+    coproduct = LinMap(field, space, square,
                        {(a * n + a, a): one for a in range(n)})
     antipode = LinMap(field, space, space,
                       {(table.inverse(a), a): one for a in range(n)})

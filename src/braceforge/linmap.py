@@ -198,11 +198,8 @@ def parse_field(spec: str) -> Field:
     """Parse a field spec string: "Q" or "Fp:<p>"."""
     if spec == "Q":
         return QQ
-    if spec.startswith("Fp:"):
-        body = spec[3:]
-        if not body.isdigit() or (body != "0" and body[0] == "0"):
-            raise ValueError(f"bad field spec: {spec!r}")
-        return PrimeField(int(body))
+    if spec.startswith("Fp:") and _FP_RE.fullmatch(spec[3:]):
+        return PrimeField(int(spec[3:]))
     raise ValueError(f"bad field spec: {spec!r}")
 
 
@@ -407,7 +404,7 @@ def _tensor2(f: LinMap, g: LinMap) -> LinMap:
     for (fi, fj), fv in f._nz.items():
         for (gi, gj), gv in g._nz.items():
             nz[(fi * gc + gi, fj * gd + gj)] = mul(fv, gv)
-    return _raw(field, Space(f.domain.dim * gd), Space(f.codomain.dim * gc), nz)
+    return _raw(field, f.domain.tensor(g.domain), f.codomain.tensor(g.codomain), nz)
 
 
 def braiding(field: Field, a: Space, b: Space) -> LinMap:
@@ -417,7 +414,7 @@ def braiding(field: Field, a: Space, b: Space) -> LinMap:
     for i in range(a.dim):
         for j in range(b.dim):
             entries[(j * a.dim + i, i * b.dim + j)] = one
-    return LinMap(field, Space(a.dim * b.dim), Space(b.dim * a.dim), entries)
+    return LinMap(field, a.tensor(b), b.tensor(a), entries)
 
 
 def interchange(field: Field, a: Space, b: Space) -> LinMap:

@@ -26,6 +26,11 @@ from .report import AxiomReport
 MP_EXTRA_MAPS = ("left_action", "right_action")
 
 
+def _action_shapes(na: int, nh: int) -> dict[str, tuple[int, int]]:
+    """(rows, cols) of each action; both act on second (x) first."""
+    return dict(zip(MP_EXTRA_MAPS, ((na, nh * na), (nh, nh * na))))
+
+
 @dataclass(frozen=True)
 class MatchedPairData:
     """first is acted on from the left, second from the right:
@@ -41,8 +46,8 @@ class MatchedPairData:
     def __post_init__(self):
         na, nh, field = self.first.space.dim, self.second.space.dim, self.first.field
         _check_map(self.second.unit, (nh, 1), field, "second")
-        _check_map(self.left_action, (na, nh * na), field, "left action")
-        _check_map(self.right_action, (nh, nh * na), field, "right action")
+        for name, shape in _action_shapes(na, nh).items():
+            _check_map(getattr(self, name), shape, field, name.replace("_", " "))
 
     @property
     def field(self):

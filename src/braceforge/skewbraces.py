@@ -10,11 +10,11 @@ all a, b, c,
 where inv is the dot-inverse.  Linearization turns a skew brace into a
 pair of group algebras on the shared group-like coalgebra.
 
-Enumeration walks all group structures on the index set with the fixed
-identity.  Group tables with identity e correspond one-to-one to regular
-permutation groups on the index set (the rows are the left translations),
-so candidates are generated by closing fixed-point-free permutations
-under composition instead of filling n^2 table cells.
+Enumeration tests every group table on the index set with the shared
+identity against the compatibility law.  Every such table is isomorphic
+to exactly one catalogue group (groups_of_order, orders 1 through 8), so
+the candidates are the catalogue groups relabeled by every bijection that
+sends their identity to the shared one.
 """
 from __future__ import annotations
 
@@ -197,7 +197,7 @@ def builtin_group(name: str) -> CayleyTable:
     key = name.strip().upper()
     if key in _BUILTIN_FACTORIES:
         return _BUILTIN_FACTORIES[key]()
-    if key.startswith("Z") and key[1:].isdigit():
+    if key.startswith("Z") and key[1:].isascii() and key[1:].isdigit():
         n = int(key[1:])
         if n >= 1:
             return cyclic(n)
@@ -217,103 +217,24 @@ def groups_of_order(n: int) -> list[CayleyTable]:
 
 
 # ---------------------------------------------------------------------------
-# enumeration of group structures with a fixed identity
+# group structures with a fixed identity
 
-def _closure(base: frozenset, new: tuple, n: int, idp: tuple) -> frozenset | None:
-    """Close base u {new} under composition.
-
-    Returns None as soon as the closure exceeds n elements or contains a
-    non-identity permutation with a fixed point (such a set can never grow
-    into a regular group of order n).
-    """
-    els = set(base)
-    frontier = []
-    if new not in els:
-        els.add(new)
-        frontier.append(new)
-    while frontier:
-        g = frontier.pop()
-        for h in list(els):
-            for prod in ((tuple(g[h[i]] for i in range(n))),
-                         (tuple(h[g[i]] for i in range(n)))):
-                if prod in els:
-                    continue
-                if len(els) >= n:
-                    return None
-                if prod != idp and any(prod[i] == i for i in range(n)):
-                    return None
-                els.add(prod)
-                frontier.append(prod)
-    return frozenset(els)
-
-
-def _uniform_cycle_type(p: tuple) -> bool:
-    n = len(p)
-    seen = [False] * n
-    length = None
-    for i in range(n):
-        if seen[i]:
-            continue
-        c, j = 0, i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            c += 1
-        if length is None:
-            length = c
-        elif c != length:
-            return False
-    return True
-
-
-def group_tables(n: int, identity: int = 0, traversal_rng=None) -> list[CayleyTable]:
+def group_tables(n: int, identity: int = 0) -> list[CayleyTable]:
     """All group tables on 0..n-1 with the given identity, sorted.
 
-    traversal_rng, when given, shuffles the candidate order; the result is
-    sorted and therefore independent of it (determinism seam for tests).
+    Each is a relabeling of a catalogue group by a bijection sending its
+    identity to `identity`; two bijections give the same table exactly
+    when they differ by an automorphism, so the tables are deduplicated.
     """
-    if n == 1:
-        return [CayleyTable(((0,),), 0)]
-    idp = tuple(range(n))
-    by_image: dict[int, list[tuple]] = {x: [] for x in range(n) if x != identity}
-    for p in itertools.permutations(range(n)):
-        if p == idp or any(p[i] == i for i in range(n)):
-            continue
-        if not _uniform_cycle_type(p):
-            continue
-        by_image[p[identity]].append(p)
-    if traversal_rng is not None:
-        for lst in by_image.values():
-            traversal_rng.shuffle(lst)
-
-    results: set[frozenset] = set()
-    seen: set[frozenset] = set()
-    universe = set(range(n))
-
-    def dfs(group: frozenset) -> None:
-        if len(group) == n:
-            results.add(group)
-            return
-        orbit = {p[identity] for p in group}
-        missing = min(universe - orbit)
-        for cand in by_image[missing]:
-            closed = _closure(group, cand, n, idp)
-            if closed is None or n % len(closed) != 0:
+    tables = set()
+    for g in groups_of_order(n):
+        for sigma in itertools.permutations(range(n)):
+            if sigma[g.identity] != identity:
                 continue
-            if closed in seen:
-                continue
-            seen.add(closed)
-            dfs(closed)
-
-    dfs(frozenset({idp}))
-
-    tables = []
-    for group in results:
-        by_img = {p[identity]: p for p in group}
-        rows = tuple(tuple(by_img[a][b] for b in range(n)) for a in range(n))
-        tables.append(CayleyTable(rows, identity))
-    tables.sort(key=lambda t: t.table)
-    return tables
+            sigma_inv = sorted(range(n), key=sigma.__getitem__)
+            tables.add(tuple(tuple(sigma[g.table[a][b]] for b in sigma_inv)
+                             for a in sigma_inv))
+    return [CayleyTable(t, identity) for t in sorted(tables)]
 
 
 # ---------------------------------------------------------------------------
@@ -365,23 +286,20 @@ def check_skew_brace(s: SkewBraceData) -> AxiomReport:
     return AxiomReport((_law("compatibility", _compat_witness(s.dot, s.circ)),))
 
 
-def enumerate_skew_braces(dot: CayleyTable, traversal_rng=None) -> list[SkewBraceData]:
+def enumerate_skew_braces(dot: CayleyTable) -> list[SkewBraceData]:
     """All skew braces with the given dot group, sorted by circ table.
 
-    Walks every group structure on the index set with the shared identity
-    and keeps those satisfying the compatibility law.  Guarded at order 8.
+    Tests every group table on the index set with the shared identity
+    against the compatibility law.  Guarded at order 8.
     """
     if dot.order > ENUMERATION_ORDER_BOUND:
         raise OrderTooLarge(
             f"enumeration is guarded at order {ENUMERATION_ORDER_BOUND}, "
             f"got {dot.order}")
     check_group(dot).require(NotAGroup, "dot table fails the group axioms")
-    out = []
-    for circ in group_tables(dot.order, dot.identity, traversal_rng):
-        if _compat_witness(dot, circ) is None:
-            out.append(SkewBraceData(dot, circ))
-    out.sort(key=lambda s: s.circ.table)
-    return out
+    return [SkewBraceData(dot, circ)
+            for circ in group_tables(dot.order, dot.identity)
+            if _compat_witness(dot, circ) is None]
 
 
 def linearize(s: SkewBraceData, field):

@@ -25,7 +25,7 @@ from .brace import BRACE_MAPS, HopfBraceData
 from .errors import CanonicalFormError, ParseError, SchemaError, ShapeError
 from .hopf import HOPF_MAPS, HopfAlgebraData, _shapes
 from .linmap import LinMap, Space, parse_field
-from .matched import MP_EXTRA_MAPS, MatchedPairData
+from .matched import MP_EXTRA_MAPS, MatchedPairData, _action_shapes
 from .obt import OBT_EXTRA_MAPS, OppBraceTripleData
 from .skewbraces import CayleyTable, SkewBraceData
 
@@ -52,7 +52,7 @@ def _map_shapes(kind: str, dims: dict[str, int]) -> dict[str, tuple[int, int]]:
         return _shapes(HOPF_MAPS + OBT_EXTRA_MAPS, n)
     nh = dims["dim_second"]
     return {**_shapes(HOPF_MAPS, n, "first_"), **_shapes(HOPF_MAPS, nh, "second_"),
-            "left_action": (n, nh * n), "right_action": (nh, nh * n)}
+            **_action_shapes(n, nh)}
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-import random
+import hashlib
 from itertools import permutations, product
 
 import pytest
@@ -26,6 +26,9 @@ def test_builtin_group_lookup():
     assert builtin_group("S3").table == symmetric_3().table
     with pytest.raises(ValueError):
         builtin_group("M11")
+    for name in ("Z٣", "Z３"):
+        with pytest.raises(ValueError, match="unknown builtin group"):
+            builtin_group(name)
 
 
 def test_group_witnesses_are_element_tuples():
@@ -81,11 +84,40 @@ def test_group_tables_every_result_is_a_group():
     assert len({t.table for t in group_tables(4)}) == 4
 
 
-def test_group_tables_deterministic_under_traversal_rng():
-    plain = [t.table for t in group_tables(6)]
-    shuffled = [t.table for t in group_tables(6, traversal_rng=random.Random(7))]
-    again = [t.table for t in group_tables(6, traversal_rng=random.Random(123))]
-    assert plain == shuffled == again
+def _digest(tables) -> str:
+    return hashlib.sha256(
+        repr([(t.identity, t.table) for t in tables]).encode()).hexdigest()
+
+
+def _relabel(g: CayleyTable, sigma) -> CayleyTable:
+    """The table of g with every element a renamed sigma[a]."""
+    rows = [[0] * g.order for _ in range(g.order)]
+    for a in range(g.order):
+        for b in range(g.order):
+            rows[sigma[a]][sigma[b]] = sigma[g.mul(a, b)]
+    return CayleyTable(rows, sigma[g.identity])
+
+
+# sha256 of [(identity, table), ...] as returned, frozen from the
+# permutation-closure search that group_tables replaced
+GROUP_TABLE_DIGESTS = {
+    (1, 0): "be6bbdfeb82d38ef74be4a95bec3c3b2dc3a9fd59c894a6e08a3c6001aa50336",
+    (2, 0): "71923a5b9d6b8ec7dba6241a8f8986247ac87668486320b89dd734daffec88a6",
+    (3, 0): "a19c409f91f9f58f201911133370b58550d087515c11e4d212fe9be2633e28f1",
+    (4, 0): "0d4c8b965542da44b6b9becaae42d796b7d19de55a9e1546db6cf1befe50d94c",
+    (5, 0): "93729f44857a24597adec76baa75e22bd5c96ad054acb8c60e0e4bc11af235ba",
+    (6, 0): "be99abefec3f7459a004ba6aff6c3982ec318a9582377fdef1a87d1c3aae24ca",
+    (7, 0): "00b4b2cafb5111a07f9cc6e82655e8173cdb9cd81ce515e2dea90445670c601a",
+    (8, 0): "19acbe3e8027e871c8fb7d44a0653cf36c4f7cdd7c5346dddcd19f6c2d8c8c7b",
+    (4, 2): "eab192a5997625c8e7cad1ee06c3d7131f50342cc734b985574991ed3ebde148",
+    (6, 3): "6a023fcc5ff27f50416bab04e5eb16be7ab9c52611062eedb0f3e3c45b5ebe46",
+    (8, 5): "34eaaab60e51ca64048d16593b8a486729171de4ea7b3faafc8edaa7113a2f9a",
+}
+
+
+def test_group_tables_frozen_digests():
+    for (n, identity), expected in GROUP_TABLE_DIGESTS.items():
+        assert _digest(group_tables(n, identity)) == expected, (n, identity)
 
 
 # -- skew brace enumeration -------------------------------------------------
@@ -142,17 +174,41 @@ def test_trivial_brace_is_always_enumerated():
             assert any(s.circ.table == g.table for s in braces), g.label
 
 
-def test_enumeration_deterministic_under_traversal_rng():
-    base = [s.circ.table for s in enumerate_skew_braces(symmetric_3())]
-    shuf = [s.circ.table
-            for s in enumerate_skew_braces(symmetric_3(),
-                                           traversal_rng=random.Random(5))]
-    assert base == shuf
+# sha256 of the circ tables enumerate_skew_braces returns, frozen from the
+# permutation-closure search; "D4@5" is D4 relabeled a -> a + 5 mod 8
+CIRC_DIGESTS = {
+    "Z1": "be6bbdfeb82d38ef74be4a95bec3c3b2dc3a9fd59c894a6e08a3c6001aa50336",
+    "Z2": "71923a5b9d6b8ec7dba6241a8f8986247ac87668486320b89dd734daffec88a6",
+    "Z3": "a19c409f91f9f58f201911133370b58550d087515c11e4d212fe9be2633e28f1",
+    "Z4": "674a8f0188cb3de23a6cef30fd07d961f310ab0c9318d8128a45c752e20c841d",
+    "Z2xZ2": "0d4c8b965542da44b6b9becaae42d796b7d19de55a9e1546db6cf1befe50d94c",
+    "Z5": "92056971c4e03f67f712f9b05dcdbc80bf30ab74ae44fdbf1eabdc4466a96490",
+    "Z6": "e5f3b81545a349dc8dbe8d9db3234900af8136babff876d1ce1883673c5799e5",
+    "S3": "da5acd3555a028fbc36275ac26eece3c8d60d5a380460e7ad3c8c8b8dd252eb4",
+    "Z7": "0c58ab895a46a0cd8a0de2596c9b7cc19eae4ee864f40aba50aab6d42ce0fb92",
+    "Z8": "623c6072a048a1ec4120289c8d470a46dc66c96f3c30b052c27808b207278735",
+    "Z2xZ4": "352f490ad52cb47d73b52f42038b92cdb984b53998ef6f1ec7bb35fe9d623374",
+    "Z2xZ2xZ2": "ff01abbf0e94c1a5bf9ed109fe04d2c163144b9cf298fc19630910b52a918ed6",
+    "D4": "acf6366f7fd55fe0c0c80a221031250074b7d16ba1c0eede2060c2ff7db41618",
+    "Q8": "e6a15a741be406c816b4b0a6e7f1d8f736bfad70efd19ad3f91a16b87707c8ae",
+    "D4@5": "5a0dc54dffbfa81352099b83dfb4a9555f26c894f2bd70dd79b04681088ead24",
+}
+
+
+def test_enumerated_circ_tables_frozen_digests():
+    dots = {g.label: g for n in range(1, 9) for g in groups_of_order(n)}
+    dots["D4@5"] = _relabel(dihedral(4), [(a + 5) % 8 for a in range(8)])
+    assert dots.keys() == CIRC_DIGESTS.keys()
+    for label, g in dots.items():
+        circs = [s.circ for s in enumerate_skew_braces(g)]
+        assert _digest(circs) == CIRC_DIGESTS[label], label
 
 
 def test_enumeration_guards():
     with pytest.raises(OrderTooLarge):
         enumerate_skew_braces(cyclic(9))
+    with pytest.raises(OrderTooLarge, match="no group catalogue for order 9"):
+        group_tables(9)
     broken = CayleyTable(((0, 1, 2), (1, 2, 0), (2, 1, 0)), 0)
     with pytest.raises(NotAGroup):
         enumerate_skew_braces(broken)

@@ -214,6 +214,12 @@ def test_rejects_bad_field_spec():
     doc["field"] = "F5"
     with pytest.raises((SchemaError, ValueError)):
         loads(json.dumps(doc))
+    doc["field"] = "Fp:5"
+    assert loads(json.dumps(doc)).field == F5
+    for spec in ("Fp:５", "Fp:٥"):
+        doc["field"] = spec
+        with pytest.raises(SchemaError, match="bad field spec"):
+            loads(json.dumps(doc, ensure_ascii=False))
 
 
 def test_rejects_bad_group_documents():

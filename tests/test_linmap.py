@@ -67,7 +67,7 @@ def test_prime_field_parse_canonical():
 def test_parse_field():
     assert parse_field("Q") is QQ
     assert parse_field("Fp:5") == F5
-    for bad in ("q", "F5", "Fp:", "Fp:05", "Fp:4", "Fp:x", "R"):
+    for bad in ("q", "F5", "Fp:", "Fp:05", "Fp:4", "Fp:x", "R", "Fp:５", "Fp:٥"):
         with pytest.raises(ValueError):
             parse_field(bad)
 
