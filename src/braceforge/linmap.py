@@ -1,10 +1,10 @@
 """Exact linear maps between finite-dimensional based spaces.
 
-Scalars live in an exact field: arbitrary-precision rationals or a prime
-field F_p.  A LinMap is a codomain x domain matrix of such scalars; the
-matrix of f holds f(e_j) in column j.  Composition, the Kronecker tensor
-product and the symmetric swap braiding are the primitives every other
-module builds on.
+Scalars live in an exact field: arbitrary-precision rationals (an int when
+integral, otherwise a Fraction) or a prime field F_p.  A LinMap is a
+codomain x domain matrix of such scalars; the matrix of f holds f(e_j) in
+column j.  Composition, the Kronecker tensor product and the symmetric swap
+braiding are the primitives every other module builds on.
 
 Tensor index convention (pinned, shared with the file format): the basis
 of A (x) B is ordered with the left factor major,
@@ -67,9 +67,20 @@ _Q_RE = re.compile(r"(0|-?[1-9][0-9]*)(?:/([1-9][0-9]*))?")
 _FP_RE = re.compile(r"0|[1-9][0-9]*")
 
 
+def _canonical(c):
+    """The rational c as an int when integral, else as itself (a Fraction)."""
+    return c if type(c) is int or c.denominator != 1 else c.numerator
+
+
 @dataclass(frozen=True)
 class Rationals:
     """Arbitrary-precision rational scalars, always reduced, denominator > 0.
+
+    Values are stored in one canonical form: an ``int`` when the value is
+    integral, otherwise a ``Fraction`` with denominator > 1.  Every
+    operation returns that form, so the 0/±1 structure constants of the
+    corpus stay machine-speed ints.  An int and the equal Fraction compare
+    and hash alike, so the form never shows in a comparison.
 
     Canonical string form: "n" for integers, "n/d" otherwise with
     gcd(n, d) = 1, d > 1, and no leading zeros or explicit plus sign.
@@ -77,41 +88,43 @@ class Rationals:
 
     name = "Q"
 
-    def zero(self) -> Fraction:
-        return _Q_ZERO
+    def zero(self) -> int:
+        return 0
 
-    def one(self) -> Fraction:
-        return _Q_ONE
+    def one(self) -> int:
+        return 1
 
     def add(self, a, b):
-        return a + b
+        return _canonical(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _canonical(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _canonical(a * b)
 
     def neg(self, a):
-        return -a
+        return _canonical(-a)
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
+        return _canonical(1 / Fraction(a))
 
-    def coerce(self, v) -> Fraction:
+    def coerce(self, v) -> int | Fraction:
+        if type(v) is int:
+            return v
         if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
             raise TypeError(f"cannot coerce {type(v).__name__} into Q")
-        return Fraction(v)
+        return _canonical(Fraction(v))
 
-    def parse(self, s: str) -> Fraction:
+    def parse(self, s: str) -> int | Fraction:
         m = _Q_RE.fullmatch(s)
         if m is None:
             raise ValueError(f"not a canonical rational: {s!r}")
         num = int(m.group(1))
         if m.group(2) is None:
-            return Fraction(num)
+            return num
         den = int(m.group(2))
         if den == 1:
             raise ValueError(f"not a canonical rational (explicit /1): {s!r}")
@@ -121,14 +134,8 @@ class Rationals:
         return v
 
     def format(self, v) -> str:
-        v = Fraction(v)
-        if v.denominator == 1:
-            return str(v.numerator)
-        return f"{v.numerator}/{v.denominator}"
+        return str(_canonical(v))  # str of a Fraction is "n/d"
 
-
-_Q_ZERO = Fraction(0)
-_Q_ONE = Fraction(1)
 
 QQ = Rationals()
 
@@ -356,16 +363,19 @@ def compose(*maps: LinMap) -> LinMap:
     if not maps:
         raise ValueError("compose needs at least one map")
     _require_same_field(*maps)
-    out = maps[0]
-    for g in maps[1:]:
-        out = _compose2(out, g)
+    for f, g in zip(maps, maps[1:]):
+        if f.domain.dim != g.codomain.dim:
+            raise DimensionMismatch(
+                f"compose: domain dim {f.domain.dim} != codomain dim {g.codomain.dim}")
+    # Fold from the right: the rightmost map usually has a narrow domain (a
+    # unit or a coproduct), so every intermediate composite stays small.
+    out = maps[-1]
+    for f in reversed(maps[:-1]):
+        out = _compose2(f, out)
     return out
 
 
 def _compose2(f: LinMap, g: LinMap) -> LinMap:
-    if f.domain.dim != g.codomain.dim:
-        raise DimensionMismatch(
-            f"compose: domain dim {f.domain.dim} != codomain dim {g.codomain.dim}")
     field = f.field
     fcols: dict[int, list[tuple[int, object]]] = {}
     for (i, k), v in f._nz.items():
@@ -435,9 +445,9 @@ def first_difference(f: LinMap, g: LinMap) -> dict | None:
     if f.shape() != g.shape():
         ls, rs = f.shape(), g.shape()
         return {"kind": "shape", "left": f"{ls[0]}x{ls[1]}", "right": f"{rs[0]}x{rs[1]}"}
-    keys = set(f._nz) | set(g._nz)
-    if not keys:
+    if f._nz == g._nz:
         return None
+    keys = set(f._nz) | set(g._nz)
     fmt = f.field.format
     zero = f.field.zero()
     for i, j in sorted(keys, key=lambda k: (k[1], k[0])):

@@ -108,6 +108,52 @@ def test_prime_field_format_parse_roundtrip(a):
     assert F5.parse(F5.format(a)) == a
 
 
+def _is_canonical_q(v) -> bool:
+    return type(v) is int or (type(v) is Fraction and v.denominator > 1)
+
+
+_Q_SCALARS = st.one_of(st.integers(-3, 3),
+                       st.fractions(-3, 3, max_denominator=3))
+
+
+@st.composite
+def _q_rows(draw, nrows, ncols):
+    return [draw(st.lists(_Q_SCALARS, min_size=ncols, max_size=ncols))
+            for _ in range(nrows)]
+
+
+@given(st.data())
+def test_q_values_are_int_or_proper_fraction(data):
+    # Fraction(n) inputs (denominator 1) must come out as the int n
+    a, b, c = (data.draw(st.integers(1, 3)) for _ in range(3))
+    f = LinMap.from_rows(QQ, data.draw(_q_rows(c, b)))
+    rows = data.draw(_q_rows(b, a))
+    g = LinMap(QQ, Space(a), Space(b),
+               {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row)})
+    for m in (f, g, compose(f, g), tensor(f, g), tensor(g, f)):
+        assert all(_is_canonical_q(v) for _, v in m.items()), m.rows()
+    x, y = data.draw(_Q_SCALARS), data.draw(_Q_SCALARS)
+    for v in (QQ.coerce(x), QQ.parse(QQ.format(x)), QQ.add(x, y), QQ.sub(x, y),
+              QQ.mul(x, y), QQ.neg(x)):
+        assert _is_canonical_q(v), (x, y, v)
+    if x != 0:
+        assert _is_canonical_q(QQ.inv(x))
+
+
+def test_q_integral_results_are_ints():
+    assert type(QQ.zero()) is int and type(QQ.one()) is int
+    for v in (QQ.mul(Fraction(1, 2), 2), QQ.add(Fraction(1, 2), Fraction(1, 2)),
+              QQ.inv(Fraction(1, 1)), QQ.parse("1"), QQ.coerce(Fraction(2, 2))):
+        assert v == 1 and type(v) is int
+    assert QQ.inv(Fraction(1, 3)) == 3 and type(QQ.inv(Fraction(1, 3))) is int
+    assert QQ.inv(2) == Fraction(1, 2)
+    assert QQ.format(Fraction(-6, 3)) == QQ.format(-2) == "-2"
+    half = LinMap.from_rows(QQ, [[Fraction(1, 2), Fraction(1, 2)]])
+    one = compose(half, LinMap.from_rows(QQ, [[1], [1]]))
+    assert one.rows() == [[1]] and type(one.entry(0, 0)) is int
+    assert type(tensor(half, LinMap.from_rows(QQ, [[2]])).entry(0, 0)) is int
+
+
 def test_coerce_rejects_floats_and_bools():
     with pytest.raises(TypeError):
         QQ.coerce(0.5)
@@ -210,6 +256,15 @@ def test_compose_shape_and_field_errors():
         compose(f, LinMap.identity(F5, Space(3)))
     with pytest.raises(FieldMismatch):
         tensor(f, LinMap.identity(F5, Space(3)))
+
+
+def test_compose_names_the_leftmost_mismatch():
+    # the chain folds from the right, but the first bad pair from the left
+    # is the one named
+    with pytest.raises(DimensionMismatch) as err:
+        compose(LinMap.identity(QQ, Space(2)), LinMap.zero(QQ, Space(4), Space(3)),
+                LinMap.identity(QQ, Space(5)))
+    assert str(err.value) == "compose: domain dim 2 != codomain dim 3"
 
 
 def test_tensor_index_convention():
