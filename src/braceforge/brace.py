@@ -10,11 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BraceAxiomsFailed, PrereqFailed
-from .hopf import (HopfAlgebraData, _check_maps, check_hopf,
+from .hopf import (HopfAlgebraData, _check_maps, _maps, check_hopf,
                    check_hopf_morphism, deform, require_cocommutative)
 from .linmap import (LinMap, Space, braiding, compose, equation_entry,
                      interchange, tensor)
-from .report import AxiomReport
+from .report import AxiomReport, memoize
 
 
 # The structure maps of a Hopf brace, in the order reports compare them.
@@ -65,6 +65,7 @@ def gamma(b: HopfBraceData) -> LinMap:
         tensor(b.coproduct, id_h))
 
 
+@memoize(lambda b: _maps(b, BRACE_MAPS))
 def check_hopf_brace(b: HopfBraceData) -> AxiomReport:
     """Both Hopf structures plus the product compatibility law."""
     first = check_hopf(b.first()).prefixed("first.")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .errors import DimensionMismatch, FieldMismatch, NotAGroup, NotCocommutative, PrereqFailed
 from .linmap import (LinMap, Space, braiding, compose, equation_entry,
                      interchange, tensor)
-from .report import AxiomReport
+from .report import AxiomReport, memoize
 from .skewbraces import CayleyTable, check_group
 
 
@@ -53,6 +53,11 @@ def _check_maps(record, names: tuple[str, ...], n: int, field) -> None:
     """Shape and field of each named map of record, in order."""
     for name, shape in _shapes(names, n).items():
         _check_map(getattr(record, name), shape, field, name)
+
+
+def _maps(record, names: tuple[str, ...] = HOPF_MAPS) -> tuple[LinMap, ...]:
+    """The named maps of record, in order: what a memoized checker keys on."""
+    return tuple(getattr(record, name) for name in names)
 
 
 @dataclass(frozen=True)
@@ -170,6 +175,7 @@ def convolution_unit(c: CoalgebraData, a: AlgebraData) -> LinMap:
     return compose(a.unit, c.counit)
 
 
+@memoize(lambda h: _maps(h))
 def check_hopf(h: HopfAlgebraData) -> AxiomReport:
     """Algebra + coalgebra axioms, bialgebra compatibility, antipode identity."""
     field, space = h.field, h.space

@@ -16,12 +16,14 @@ It is kept an explicit map in every formula (never inlined as an index
 shuffle), so a different braiding can be swapped in at this one point.
 interchange(field, A, B) = id_A (x) c_{A,B} (x) id_B is the one place that
 pads a braiding with identities on both sides: every formula that swaps
-the two middle legs of a fourfold tensor goes through it.
+the two middle legs of a fourfold tensor goes through it.  It is built
+once per field and pair of dimensions and shared by every caller.
 
 Matrices are semantically dense; internally only nonzero entries are
 keyed, which keeps composites of structure-constant maps (mostly
 permutation-like) cheap at tensor-cube and tensor-fourth sizes.  All
-values are immutable after construction.
+values are immutable after construction, so a LinMap hashes once and can
+key a cache.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 from .errors import DimensionMismatch, FieldMismatch
-from .report import AxiomReport, CheckEntry
+from .report import AxiomReport, CheckEntry, memoize
 
 # ---------------------------------------------------------------------------
 # scalar fields
@@ -237,7 +239,7 @@ class LinMap:
     image of the j-th domain basis vector.
     """
 
-    __slots__ = ("field", "domain", "codomain", "_nz")
+    __slots__ = ("field", "domain", "codomain", "_nz", "_hash")
 
     def __init__(self, field: Field, domain: Space, codomain: Space,
                  entries: Mapping[tuple[int, int], object]):
@@ -321,6 +323,8 @@ class LinMap:
         return (self.codomain.dim, self.domain.dim)
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, LinMap):
             return NotImplemented
         return (self.field == other.field
@@ -329,8 +333,13 @@ class LinMap:
                 and self._nz == other._nz)
 
     def __hash__(self):
-        return hash((self.field, self.domain.dim, self.codomain.dim,
-                     frozenset(self._nz.items())))
+        try:
+            return self._hash
+        except AttributeError:  # first call: computed once, kept in its slot
+            h = hash((self.field, self.domain.dim, self.codomain.dim,
+                      frozenset(self._nz.items())))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __repr__(self) -> str:
         return (f"LinMap({self.field.name}, {self.codomain.dim}x{self.domain.dim}, "
@@ -427,6 +436,7 @@ def braiding(field: Field, a: Space, b: Space) -> LinMap:
     return LinMap(field, a.tensor(b), b.tensor(a), entries)
 
 
+@memoize(lambda field, a, b: (field, a, b))
 def interchange(field: Field, a: Space, b: Space) -> LinMap:
     """id_A (x) c_{A,B} (x) id_B : A (x) A (x) B (x) B -> A (x) B (x) A (x) B,
     e_i (x) e_j (x) e_k (x) e_l -> e_i (x) e_k (x) e_j (x) e_l."""

@@ -15,12 +15,12 @@ from .actions import (LeftModuleData, RightModuleData, check_left_module,
                       check_right_module_coalgebra)
 from .brace import BRACE_MAPS, HopfBraceData, gamma, phi, require_valid_brace
 from .errors import MpAxiomsFailed, NotDiagonal, PrereqFailed
-from .hopf import (HOPF_MAPS, HopfAlgebraData, _check_map, check_hopf,
-                   check_hopf_morphism, require_cocommutative)
+from .hopf import (HOPF_MAPS, HopfAlgebraData, _check_map, _maps,
+                   check_hopf, check_hopf_morphism, require_cocommutative)
 from .linmap import (LinMap, braiding, componentwise, compose, equation_entry,
                      interchange, tensor)
 from .obt import OppBraceTripleData, _deformation_brace
-from .report import AxiomReport
+from .report import AxiomReport, memoize
 
 # The structure maps a matched pair adds to its two Hopf algebras.
 MP_EXTRA_MAPS = ("left_action", "right_action")
@@ -121,10 +121,10 @@ def check_matched_pair(m: MatchedPairData) -> AxiomReport:
 
 
 def _is_diagonal(m: MatchedPairData) -> bool:
-    a, h = m.first, m.second
-    return all(getattr(a, name) == getattr(h, name) for name in HOPF_MAPS)
+    return _maps(m.first) == _maps(m.second)
 
 
+@memoize(lambda m: _maps(m.first) + _maps(m.second) + _maps(m, MP_EXTRA_MAPS))
 def check_mp_over_A(m: MatchedPairData) -> AxiomReport:
     """Matched pair axioms plus the diagonal interweaving identity
     product = product o psi; both Hopf components must coincide and be

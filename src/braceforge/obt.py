@@ -16,11 +16,12 @@ from dataclasses import dataclass
 
 from .brace import BRACE_MAPS, HopfBraceData, gamma, require_valid_brace
 from .errors import ObtAxiomsFailed, PrereqFailed
-from .hopf import (HOPF_MAPS, HopfAlgebraData, _check_maps, check_hopf,
-                   check_hopf_morphism, deform, require_cocommutative)
+from .hopf import (HOPF_MAPS, HopfAlgebraData, _check_maps, _maps,
+                   check_hopf, check_hopf_morphism, deform,
+                   require_cocommutative)
 from .linmap import (LinMap, braiding, componentwise, compose, equation_entry,
                      interchange, tensor)
-from .report import AxiomReport
+from .report import AxiomReport, memoize
 
 # The structure maps a triple adds to its Hopf algebra.
 OBT_EXTRA_MAPS = ("action", "involution")
@@ -46,6 +47,7 @@ def mu_tilde(t: OppBraceTripleData) -> LinMap:
     return deform(t.hopf.product, t.hopf.coproduct, t.action)
 
 
+@memoize(lambda t: _maps(t.hopf) + _maps(t, OBT_EXTRA_MAPS))
 def check_obt(t: OppBraceTripleData) -> AxiomReport:
     """The eight triple axioms, one report entry each.
 

@@ -2,29 +2,49 @@
 
 Every checker in the package returns an AxiomReport: an immutable,
 ordered tuple of named entries, each passed or failed.  A failed entry
-always carries a witness dict (for map equations: the first differing
-basis column and both side values; for set-level laws: the offending
-element tuple).  A checker that includes another checker's verdict embeds
-its entries under a name prefix (``prefixed``); a construction gated on a
-verdict calls ``require``, which raises with the report attached.
+always carries a witness (for map equations: the first differing basis
+column and both side values; for set-level laws: the offending element
+tuple), held as a read-only mapping.  A checker that includes another
+checker's verdict embeds its entries under a name prefix (``prefixed``); a
+construction gated on a verdict calls ``require``, which raises with the
+report attached.
+
+Since nothing in a report can change, the gate checkers hand one report to
+every caller: ``memoize`` keeps the last MEMO_SIZE results per function.
 """
 from __future__ import annotations
 
+import functools
+import threading
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, replace
+from types import MappingProxyType
+from typing import Mapping
 
 
 @dataclass(frozen=True)
 class CheckEntry:
     name: str
     passed: bool
-    witness: dict | None = None
+    witness: Mapping | None = None
 
     def __post_init__(self):
-        if not self.passed and self.witness is None:
+        if self.witness is not None:
+            # a private read-only copy, since a cached report is shared
+            object.__setattr__(self, "witness",
+                               MappingProxyType(dict(self.witness)))
+        elif not self.passed:
             raise ValueError(f"failed entry {self.name!r} must carry a witness")
 
+    def __reduce__(self):  # a mappingproxy does not pickle; its dict does
+        return (CheckEntry, (self.name, self.passed, self._witness_dict()))
+
+    def _witness_dict(self) -> dict | None:
+        return None if self.witness is None else dict(self.witness)
+
     def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "witness": self.witness}
+        return {"name": self.name, "passed": self.passed,
+                "witness": self._witness_dict()}
 
 
 @dataclass(frozen=True)
@@ -72,3 +92,65 @@ class AxiomReport:
                 wit = " ".join(f"{k}={v}" for k, v in sorted(e.witness.items()))
                 lines.append(f"FAIL  {e.name}  [{wit}]")
         return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# memoization
+
+# Results each memoized function keeps.  One suite row verifies at most a
+# few distinct structures per checker, so 16 serves every repeat in a row
+# (32 served no more), and a stream of new inputs, such as one-constant
+# mutants, holds a fixed and small amount of memory.
+MEMO_SIZE = 16
+
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+_MISSING = object()
+
+
+def memoize(key):
+    """Decorator: remember a function's result per key(*args) in a
+    per-process LRU of MEMO_SIZE entries.
+
+    Only for functions whose result is immutable and depends on nothing
+    but the key, since every caller with an equal key gets the same object.
+    A call that raises stores nothing, so it raises again on every call.
+    The wrapper is a plain function carrying the wrapped one's name and
+    module, with ``cache_info()`` and ``cache_clear()`` like
+    ``functools.lru_cache``.
+    """
+    def decorate(fn):
+        cache: OrderedDict = OrderedDict()
+        lock = threading.Lock()
+        counts = [0, 0]  # hits, misses
+
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            k = key(*args, **kwargs)
+            with lock:
+                result = cache.get(k, _MISSING)
+                if result is not _MISSING:
+                    cache.move_to_end(k)
+                    counts[0] += 1
+                    return result
+                counts[1] += 1
+            result = fn(*args, **kwargs)
+            with lock:
+                cache[k] = result
+                if len(cache) > MEMO_SIZE:
+                    cache.popitem(last=False)
+            return result
+
+        def cache_info() -> CacheInfo:
+            with lock:
+                return CacheInfo(counts[0], counts[1], MEMO_SIZE, len(cache))
+
+        def cache_clear() -> None:
+            with lock:
+                cache.clear()
+                counts[:] = [0, 0]
+
+        wrapper.cache_info = cache_info
+        wrapper.cache_clear = cache_clear
+        return wrapper
+    return decorate

@@ -192,6 +192,15 @@ def test_linmap_immutable_and_hashable():
     assert m == LinMap.from_rows(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert hash(m) == hash(LinMap.identity(QQ, Space(3)))
     assert m != LinMap.identity(F5, Space(3))
+    # built apart: from rows with a Fraction, by compose; the hash is kept
+    h = group_algebra(cyclic(3), QQ)
+    a = LinMap.from_rows(QQ, [[Fraction(2, 2), 0, 0], [0, 0, 1], [0, 1, 0]])
+    b = compose(h.antipode, LinMap.identity(QQ, Space(3)))
+    assert a == b and a is not b and hash(a) == hash(b) == hash(a)
+    assert len({a, b, h.antipode}) == 1
+    for x in (a, b):
+        copy = pickle.loads(pickle.dumps(x))
+        assert copy == x and hash(copy) == hash(x)
 
 
 def _random_map(rng, field, dom, cod):

@@ -4,7 +4,9 @@ Removing or renaming one of those names breaks the benchmark, and
 selftest.py is too slow for tier-1, so the names are checked here.  A
 name can stay while a keyword or signature the benchmark passes changes,
 so run.py's battery and one mutant round also run here, on small inputs."""
+import importlib
 import importlib.util
+import inspect
 import random
 import re
 import sys
@@ -41,6 +43,22 @@ def test_benchmark_names_exist_in_the_package(script, alias):
     names = set(re.findall(rf"\b{alias}\.([A-Za-z_]\w*)", text))
     assert names, f"no {alias}.<name> found in {script}"
     assert sorted(n for n in names if not hasattr(braceforge, n)) == []
+
+
+def test_layer_functions_are_traceable(run_py):
+    """The tracer wraps only plain functions defined in their own module, so
+    a layer function that turns into another callable (a cache object, a
+    partial) would drop out of the per-layer counters without an error."""
+    missing = []
+    for name in run_py.LAYER_FUNCTIONS:
+        short, attr = name.split(".")
+        fn = getattr(importlib.import_module(f"braceforge.{short}"), attr, None)
+        if fn is None:
+            missing.append(name)
+            continue
+        assert inspect.isfunction(fn), name
+        assert fn.__module__ == f"braceforge.{short}", name
+    assert set(missing) <= {"hopf.make_hopf"}  # removed from the library
 
 
 def test_benchmark_battery_runs_on_small_braces(run_py):

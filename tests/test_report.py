@@ -13,6 +13,7 @@ report layer cannot change a verdict, a witness or an entry name.
 import dataclasses
 import hashlib
 import json
+import pickle
 
 import pytest
 
@@ -283,6 +284,29 @@ def test_reports_are_immutable():
         assert not hasattr(rep, name)
     assert isinstance(check_hopf(group_algebra(groups_of_order(3)[0], QQ)).entries,
                       tuple)
+
+
+def test_witnesses_are_read_only_and_shared():
+    h = group_algebra(groups_of_order(3)[0], QQ)
+    broken = dataclasses.replace(h, antipode=LinMap.identity(QQ, h.space))
+    rep = check_hopf(broken)
+    wit = rep.entry("antipode.left").witness
+    with pytest.raises(TypeError):
+        wit["col"] = 7
+    with pytest.raises(TypeError):
+        del wit["kind"]
+    assert check_hopf(broken).entry("antipode.left").witness is wit
+    assert check_hopf(dataclasses.replace(broken, meta={"label": "copy"})
+                      ).entry("antipode.left").witness is wit
+    doc = rep.to_dict()
+    assert all(type(e["witness"]) is dict for e in doc["entries"]
+               if not e["passed"])
+    doc["entries"][-1]["witness"]["col"] = 7  # a copy: the report is unchanged
+    assert rep.to_dict() != doc and pickle.loads(pickle.dumps(rep)) == rep
+    source = {"kind": "entry", "row": 0}
+    entry = CheckEntry("b", False, source)
+    source["row"] = 5
+    assert entry.witness == {"kind": "entry", "row": 0}
 
 
 def test_prefixed_renames_a_copy():
