@@ -19,11 +19,21 @@ pads a braiding with identities on both sides: every formula that swaps
 the two middle legs of a fourfold tensor goes through it.  It is built
 once per field and pair of dimensions and shared by every caller.
 
-Matrices are semantically dense; internally only nonzero entries are
-keyed, which keeps composites of structure-constant maps (mostly
-permutation-like) cheap at tensor-cube and tensor-fourth sizes.  All
-values are immutable after construction, so a LinMap hashes once and can
-key a cache.
+Matrices are semantically dense; internally a LinMap is stored column
+major, as {col: {row: value}} holding only the nonzero entries of only the
+nonzero columns.  Column j is the sparse vector f(e_j), so compose reads
+just the columns of its left operand that its right operand reaches, and
+no entry needs a tuple key for the cyclic garbage collector to scan.
+
+A column dict is never mutated once the map that first holds it is built.
+So maps share columns freely: compose hands on column k of its left
+operand wherever the right operand sends a basis vector to e_k with
+coefficient 1 (as the permutation-like structure maps of the corpus do),
+and tensor builds the shifted copy of the right factor's columns once per
+entry of the left factor.  Products are summed with plain + and *, and
+each output entry is brought into the field's canonical form once, by
+field.normalize.  All values are immutable after construction, so a
+LinMap hashes once and can key a cache.
 """
 from __future__ import annotations
 
@@ -108,6 +118,10 @@ class Rationals:
     def neg(self, a):
         return _canonical(-a)
 
+    def normalize(self, v):
+        """A sum of products of field values, in canonical form."""
+        return _canonical(v)
+
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
@@ -178,6 +192,10 @@ class PrimeField:
     def neg(self, a):
         return (-a) % self.p
 
+    def normalize(self, v):
+        """A sum of products of field values, in canonical form."""
+        return v % self.p
+
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
@@ -222,8 +240,9 @@ class Space:
     dim: int
 
     def __post_init__(self):
-        if not isinstance(self.dim, int) or self.dim < 1:
-            raise DimensionMismatch(f"space dimension must be >= 1, got {self.dim!r}")
+        dim = self.dim
+        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+            raise DimensionMismatch(f"space dimension must be >= 1, got {dim!r}")
 
     def tensor(self, other: "Space") -> "Space":
         return Space(self.dim * other.dim)
@@ -232,6 +251,9 @@ class Space:
 # ---------------------------------------------------------------------------
 # linear maps
 
+_NO_COLUMN: dict = {}  # a column with no nonzero entry; never mutated
+
+
 class LinMap:
     """An exact matrix with explicit domain and codomain.
 
@@ -239,29 +261,31 @@ class LinMap:
     image of the j-th domain basis vector.
     """
 
-    __slots__ = ("field", "domain", "codomain", "_nz", "_hash")
+    __slots__ = ("field", "domain", "codomain", "_cols", "_hash")
 
     def __init__(self, field: Field, domain: Space, codomain: Space,
                  entries: Mapping[tuple[int, int], object]):
-        nz = {}
+        cols: dict[int, dict[int, object]] = {}
         zero = field.zero()
         for (i, j), v in entries.items():
+            if type(i) is not int or type(j) is not int:
+                raise DimensionMismatch(f"entry index ({i!r},{j!r}) is not a pair of ints")
             if not (0 <= i < codomain.dim and 0 <= j < domain.dim):
                 raise DimensionMismatch(
                     f"entry ({i},{j}) outside {codomain.dim}x{domain.dim}")
             v = field.coerce(v)
             if v != zero:
-                nz[(i, j)] = v
+                cols.setdefault(j, {})[i] = v
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "codomain", codomain)
-        object.__setattr__(self, "_nz", nz)
+        object.__setattr__(self, "_cols", cols)
 
     def __setattr__(self, *a):
         raise AttributeError("LinMap is immutable")
 
     def __reduce__(self):
-        return (LinMap, (self.field, self.domain, self.codomain, dict(self._nz)))
+        return (LinMap, (self.field, self.domain, self.codomain, dict(self.items())))
 
     # -- constructors ------------------------------------------------------
 
@@ -302,21 +326,23 @@ class LinMap:
         if not (0 <= i < self.codomain.dim and 0 <= j < self.domain.dim):
             raise DimensionMismatch(
                 f"entry ({i},{j}) outside {self.codomain.dim}x{self.domain.dim}")
-        return self._nz.get((i, j), self.field.zero())
+        return self._cols.get(j, _NO_COLUMN).get(i, self.field.zero())
 
     def items(self):
-        """Nonzero entries as an iterator of ((row, col), value)."""
-        return iter(self._nz.items())
+        """Nonzero entries as an iterator of ((row, col), value), column major:
+        all entries of one column come together."""
+        return (((i, j), v) for j, col in self._cols.items() for i, v in col.items())
 
     def support_size(self) -> int:
-        return len(self._nz)
+        return sum(map(len, self._cols.values()))
 
     def rows(self) -> list[list[object]]:
         """Dense matrix as nested lists (row major)."""
         zero = self.field.zero()
         out = [[zero] * self.domain.dim for _ in range(self.codomain.dim)]
-        for (i, j), v in self._nz.items():
-            out[i][j] = v
+        for j, col in self._cols.items():
+            for i, v in col.items():
+                out[i][j] = v
         return out
 
     def shape(self) -> tuple[int, int]:
@@ -330,20 +356,20 @@ class LinMap:
         return (self.field == other.field
                 and self.domain.dim == other.domain.dim
                 and self.codomain.dim == other.codomain.dim
-                and self._nz == other._nz)
+                and self._cols == other._cols)
 
     def __hash__(self):
         try:
             return self._hash
         except AttributeError:  # first call: computed once, kept in its slot
             h = hash((self.field, self.domain.dim, self.codomain.dim,
-                      frozenset(self._nz.items())))
+                      frozenset(self.items())))
             object.__setattr__(self, "_hash", h)
             return h
 
     def __repr__(self) -> str:
         return (f"LinMap({self.field.name}, {self.codomain.dim}x{self.domain.dim}, "
-                f"nnz={len(self._nz)})")
+                f"nnz={self.support_size()})")
 
 
 # ---------------------------------------------------------------------------
@@ -357,13 +383,15 @@ def _require_same_field(*maps: LinMap) -> Field:
     return field
 
 
-def _raw(field: Field, domain: Space, codomain: Space, nz: dict) -> LinMap:
-    """A LinMap around nonzero entries already in range and in the field."""
+def _raw(field: Field, domain: Space, codomain: Space, cols: dict) -> LinMap:
+    """A LinMap around nonempty columns of nonzero entries, already in range
+    and in canonical form.  The column dicts are held as they are, so none
+    may be mutated afterwards."""
     out = LinMap.__new__(LinMap)
     object.__setattr__(out, "field", field)
     object.__setattr__(out, "domain", domain)
     object.__setattr__(out, "codomain", codomain)
-    object.__setattr__(out, "_nz", nz)
+    object.__setattr__(out, "_cols", cols)
     return out
 
 
@@ -385,23 +413,39 @@ def compose(*maps: LinMap) -> LinMap:
 
 
 def _compose2(f: LinMap, g: LinMap) -> LinMap:
-    field = f.field
-    fcols: dict[int, list[tuple[int, object]]] = {}
-    for (i, k), v in f._nz.items():
-        fcols.setdefault(k, []).append((i, v))
-    acc: dict[tuple[int, int], object] = {}
-    add, mul = field.add, field.mul
-    for (k, j), vg in g._nz.items():
-        col = fcols.get(k)
-        if col is None:
+    """f o g, column by column: column j is f applied to column j of g.
+
+    Only the columns of f that g reaches are read.  A column of g that is a
+    single entry 1 at row k gives column k of f itself, shared, not copied.
+    """
+    fcols = f._cols
+    norm = f.field.normalize
+    cols = {}
+    for j, gcol in g._cols.items():
+        if len(gcol) == 1:
+            ((k, vg),) = gcol.items()
+            fcol = fcols.get(k)
+            if fcol is not None:  # a product of nonzero field values is nonzero
+                cols[j] = fcol if vg == 1 else {i: norm(vf * vg) for i, vf in fcol.items()}
             continue
-        for i, vf in col:
-            key = (i, j)
-            prev = acc.get(key)
-            acc[key] = mul(vf, vg) if prev is None else add(prev, mul(vf, vg))
-    zero = field.zero()
-    return _raw(field, g.domain, f.codomain,
-                {k: v for k, v in acc.items() if v != zero})
+        acc = {}
+        for k, vg in gcol.items():
+            fcol = fcols.get(k)
+            if fcol is None:
+                continue
+            for i, vf in fcol.items():
+                if i in acc:
+                    acc[i] += vf * vg
+                else:
+                    acc[i] = vf * vg
+        col = {}
+        for i, v in acc.items():
+            v = norm(v)
+            if v:
+                col[i] = v
+        if col:
+            cols[j] = col
+    return _raw(f.field, g.domain, f.codomain, cols)
 
 
 def tensor(*maps: LinMap) -> LinMap:
@@ -416,14 +460,52 @@ def tensor(*maps: LinMap) -> LinMap:
 
 
 def _tensor2(f: LinMap, g: LinMap) -> LinMap:
-    field = f.field
-    gd, gc = g.domain.dim, g.codomain.dim
-    mul = field.mul
-    nz = {}
-    for (fi, fj), fv in f._nz.items():
-        for (gi, gj), gv in g._nz.items():
-            nz[(fi * gc + gi, fj * gd + gj)] = mul(fv, gv)
-    return _raw(field, f.domain.tensor(g.domain), f.codomain.tensor(g.codomain), nz)
+    """f (x) g, column by column: column (fj, gj) stacks column gj of g,
+    moved down to block fi and scaled by f[fi, fj], for each entry of
+    column fj of f.  The blocks of one entry of f serve every column of f
+    that holds that entry, shared, not copied."""
+    gc, gd = g.codomain.dim, g.domain.dim
+    norm = f.field.normalize
+    gjs = list(g._cols)
+    gitems = [tuple(col.items()) for col in g._cols.values()]
+    blocks_of = {}
+    cols = {}
+    for fj, fcol in f._cols.items():
+        blocks = []
+        for fi, fv in fcol.items():
+            block = blocks_of.get((fi, fv))
+            if block is None:
+                block = blocks_of[fi, fv] = _blocks(gitems, fi * gc, fv, norm)
+            blocks.append(block)
+        base = fj * gd
+        if len(blocks) == 1:
+            for gj, col in zip(gjs, blocks[0]):
+                cols[base + gj] = col
+            continue
+        for t, gj in enumerate(gjs):  # blocks of distinct rows of f are disjoint
+            col = {}
+            for block in blocks:
+                col.update(block[t])
+            cols[base + gj] = col
+    return _raw(f.field, f.domain.tensor(g.domain), f.codomain.tensor(g.codomain), cols)
+
+
+def _blocks(gitems: list, offset: int, scale, norm) -> list[dict]:
+    """Each column of g, given by its items, with its rows moved down by
+    offset and its values multiplied by scale (nonzero, so no product
+    vanishes)."""
+    out = []
+    if scale == 1:
+        for items in gitems:
+            if len(items) == 1:
+                ((i, v),) = items
+                out.append({offset + i: v})
+            else:
+                out.append({offset + i: v for i, v in items})
+    else:
+        for items in gitems:
+            out.append({offset + i: norm(scale * v) for i, v in items})
+    return out
 
 
 def braiding(field: Field, a: Space, b: Space) -> LinMap:
@@ -455,16 +537,22 @@ def first_difference(f: LinMap, g: LinMap) -> dict | None:
     if f.shape() != g.shape():
         ls, rs = f.shape(), g.shape()
         return {"kind": "shape", "left": f"{ls[0]}x{ls[1]}", "right": f"{rs[0]}x{rs[1]}"}
-    if f._nz == g._nz:
+    fcols, gcols = f._cols, g._cols
+    if fcols == gcols:
         return None
-    keys = set(f._nz) | set(g._nz)
     fmt = f.field.format
     zero = f.field.zero()
-    for i, j in sorted(keys, key=lambda k: (k[1], k[0])):
-        a = f._nz.get((i, j), zero)
-        b = g._nz.get((i, j), zero)
-        if a != b:
-            return {"kind": "entry", "row": i, "col": j, "left": fmt(a), "right": fmt(b)}
+    for j in sorted(fcols.keys() | gcols.keys()):
+        a = fcols.get(j, _NO_COLUMN)
+        b = gcols.get(j, _NO_COLUMN)
+        if a == b:
+            continue
+        for i in sorted(a.keys() | b.keys()):
+            x = a.get(i, zero)
+            y = b.get(i, zero)
+            if x != y:
+                return {"kind": "entry", "row": i, "col": j,
+                        "left": fmt(x), "right": fmt(y)}
     return None
 
 

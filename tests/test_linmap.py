@@ -185,6 +185,21 @@ def test_from_rows_rejects_ragged_and_mismatched():
         LinMap(QQ, Space(2), Space(2), {(2, 0): 1})
 
 
+def test_constructor_rejects_non_integer_indices():
+    for key in ((0.5, 0), (0, 0.5), (True, 0), (0, False), ("0", 0), (0, 1.0)):
+        with pytest.raises(DimensionMismatch):
+            LinMap(QQ, Space(2), Space(2), {key: 1})
+    with pytest.raises(DimensionMismatch):
+        LinMap(F5, Space(2), Space(2), {(0, True): 0})  # even for a zero value
+    assert LinMap(QQ, Space(2), Space(2), {(1, 0): 1}).rows() == [[0, 0], [1, 0]]
+
+
+@pytest.mark.parametrize("dim", [True, False, 0, -1, 1.0, 2.5, "2", None])
+def test_space_rejects_non_integer_and_bool_dims(dim):
+    with pytest.raises(DimensionMismatch):
+        Space(dim)
+
+
 def test_linmap_immutable_and_hashable():
     m = LinMap.identity(QQ, Space(3))
     with pytest.raises(AttributeError):
@@ -351,6 +366,15 @@ def test_first_difference_scans_by_domain_basis_vector():
     wit = first_difference(a, b)
     assert wit == {"kind": "entry", "row": 0, "col": 1, "left": "1", "right": "0"}
     assert first_difference(a, a) is None
+    # differences at rows (or columns) 1 and 8: the lower index is named,
+    # whatever order a hash table keeps them in
+    for idx in ((8, 1), (1, 8), (16, 9, 1)):
+        col = LinMap(QQ, Space(1), Space(17), {(i, 0): 1 for i in idx})
+        row = LinMap(QQ, Space(17), Space(1), {(0, j): 1 for j in idx})
+        assert first_difference(col, LinMap.zero(QQ, Space(1), Space(17))) == \
+            {"kind": "entry", "row": min(idx), "col": 0, "left": "1", "right": "0"}
+        assert first_difference(LinMap.zero(QQ, Space(17), Space(1)), row) == \
+            {"kind": "entry", "row": 0, "col": min(idx), "left": "0", "right": "1"}
 
 
 def test_first_difference_field_and_shape_kinds():
@@ -367,3 +391,143 @@ def test_equation_entry_and_check_entry_invariant():
     assert not e.passed and e.witness["kind"] == "entry"
     with pytest.raises(ValueError):
         CheckEntry("x", False, None)
+
+
+# -- dense oracle ------------------------------------------------------------
+# A list-of-lists reference for compose, tensor, first_difference, == and
+# hash.  Corpus maps are monomial with 0/1 entries, so these are the only
+# tests that reach multi-entry columns and coefficients other than 1.
+
+_DENSE_FIELDS = st.sampled_from([QQ, PrimeField(2), PrimeField(3), F5, F7])
+
+
+def _scalars(field, nonzero=False):
+    if field is QQ:
+        values = st.fractions(-3, 3, max_denominator=4)
+        return values.filter(bool) if nonzero else values
+    return st.integers(1 if nonzero else 0, field.p - 1)
+
+
+@st.composite
+def _dense(draw, field, nrows, ncols):
+    """Rows of a matrix whose columns are dense, single-entry (any nonzero
+    coefficient) or zero."""
+    cols = []
+    for _ in range(ncols):
+        kind = draw(st.sampled_from(["dense", "single", "zero"]))
+        col = [0] * nrows
+        if kind == "dense":
+            col = draw(st.lists(_scalars(field), min_size=nrows, max_size=nrows))
+        elif kind == "single":
+            col[draw(st.integers(0, nrows - 1))] = draw(_scalars(field, nonzero=True))
+        cols.append(col)
+    return [[cols[j][i] for j in range(ncols)] for i in range(nrows)]
+
+
+def _reduce(field, v):
+    return v if field is QQ else v % field.p
+
+
+def _ref_compose(field, fr, gr):
+    return [[_reduce(field, sum(fr[i][k] * gr[k][j] for k in range(len(gr))))
+             for j in range(len(gr[0]))] for i in range(len(fr))]
+
+
+def _ref_tensor(field, fr, gr):
+    return [[_reduce(field, fr[i][k] * gr[j][ell])
+             for k in range(len(fr[0])) for ell in range(len(gr[0]))]
+            for i in range(len(fr)) for j in range(len(gr))]
+
+
+def _ref_first_difference(field, ar, br):
+    for j in range(len(ar[0])):
+        for i in range(len(ar)):
+            a, b = _reduce(field, ar[i][j]), _reduce(field, br[i][j])
+            if a != b:
+                return {"kind": "entry", "row": i, "col": j,
+                        "left": field.format(a), "right": field.format(b)}
+    return None
+
+
+def _agrees(m, field, ref):
+    """m is the map of the reference rows ref, seen every way it can be."""
+    ref = [[_reduce(field, v) for v in row] for row in ref]
+    rebuilt = LinMap.from_rows(field, ref)
+    assert m.rows() == ref
+    assert m == rebuilt and hash(m) == hash(rebuilt)
+    assert sorted(m.items()) == sorted(
+        ((i, j), v) for i, row in enumerate(ref) for j, v in enumerate(row) if v)
+    assert m.support_size() == sum(v != 0 for row in ref for v in row)
+    assert all(m.entry(i, j) == v for i, row in enumerate(ref) for j, v in enumerate(row))
+    assert first_difference(m, rebuilt) is None
+
+
+@given(st.data())
+def test_compose_tensor_and_equality_match_dense_oracle(data):
+    field = data.draw(_DENSE_FIELDS)
+    a, b, c, d = (data.draw(st.integers(1, 4)) for _ in range(4))
+    fr = data.draw(_dense(field, c, b))
+    gr = data.draw(_dense(field, b, a))
+    hr = data.draw(_dense(field, d, a))
+    f, g, h = (LinMap.from_rows(field, r) for r in (fr, gr, hr))
+    _agrees(compose(f, g), field, _ref_compose(field, fr, gr))
+    _agrees(tensor(f, g), field, _ref_tensor(field, fr, gr))
+    _agrees(tensor(g, f, h), field,
+            _ref_tensor(field, _ref_tensor(field, gr, fr), hr))
+    ar = data.draw(_dense(field, d, a))
+    for left, right in ((hr, ar), (ar, hr), (hr, hr)):
+        x, y = LinMap.from_rows(field, left), LinMap.from_rows(field, right)
+        wit = _ref_first_difference(field, left, right)
+        assert first_difference(x, y) == wit
+        assert (x == y) == (wit is None)
+        if wit is None:
+            assert hash(x) == hash(y)
+
+
+@given(st.data())
+def test_cancelling_columns_compose_to_the_zero_map(data):
+    # [A | -A | C] o [B ; B ; E] = C E: the A B columns cancel, and where
+    # E is zero the whole column of the result vanishes
+    field = data.draw(_DENSE_FIELDS)
+    a, b, c, e = (data.draw(st.integers(1, 3)) for _ in range(4))
+    ar = data.draw(_dense(field, c, b))
+    br = data.draw(_dense(field, b, a))
+    cr = data.draw(_dense(field, c, e))
+    er = data.draw(_dense(field, e, a))
+    f = LinMap.from_rows(field, [ra + [-v for v in ra] + rc for ra, rc in zip(ar, cr)])
+    g = LinMap.from_rows(field, br + br + er)
+    _agrees(compose(f, g), field, _ref_compose(field, cr, er))
+    zero = LinMap.zero(field, Space(a), Space(c))
+    cancelled = compose(LinMap.from_rows(field, [ra + [-v for v in ra] for ra in ar]),
+                        LinMap.from_rows(field, br + br))
+    assert cancelled == zero and hash(cancelled) == hash(zero)
+    assert cancelled.support_size() == 0 and list(cancelled.items()) == []
+    assert first_difference(cancelled, zero) is None
+
+
+def test_shared_columns_are_never_changed():
+    # composing with a permutation shares the columns of the left map;
+    # nothing done to the composite afterwards may show in the source
+    rng = random.Random(5)
+    for field in (QQ, F5):
+        f = _random_map(rng, field, 4, 3)
+        f = LinMap(field, f.domain, f.codomain,
+                   dict(f.items()) | {(0, 0): Fraction(1, 2) if field is QQ else 3})
+        state = (list(f.items()), hash(f), f.rows())
+        perm = [2, 0, 3, 1]
+        p = LinMap(field, Space(4), Space(4), {(perm[j], j): 1 for j in range(4)})
+        h = compose(f, p)
+        assert any(col is fcol for col in h._cols.values() for fcol in f._cols.values())
+        assert h.rows() == [[row[perm[j]] for j in range(4)] for row in f.rows()]
+        _agrees(tensor(h, f), field, _ref_tensor(field, h.rows(), f.rows()))
+        _agrees(tensor(f, h), field, _ref_tensor(field, f.rows(), h.rows()))
+        _agrees(compose(h, p, p), field,
+                _ref_compose(field, h.rows(), _ref_compose(field, p.rows(), p.rows())))
+        assert (h == f) == (perm == [0, 1, 2, 3])
+        assert first_difference(h, f) is not None
+        copy = pickle.loads(pickle.dumps(h))
+        assert copy == h and hash(copy) == hash(h)
+        assert copy.rows() == h.rows()
+        assert (list(f.items()), hash(f), f.rows()) == state
+        rebuilt = LinMap.from_rows(field, state[2])
+        assert rebuilt == f and hash(rebuilt) == hash(f)

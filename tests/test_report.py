@@ -5,7 +5,7 @@ report over the order <= 4 corpus on Q and Fp:5, of variants of each Fp:5
 object with one structure constant doubled, of Cayley tables with one entry
 moved, and the class, message and attached report of every gate exception
 those inputs raise.  (report_lines(6, ("Q", "Fp:5")) is the same battery
-at full size, with variants over both fields.)  It was taken
+at full size, with variants over both fields, frozen as well.)  It was taken
 from a build in which every checker still filled a mutable report and
 every gate was a hand-written check-then-raise block, so a rewrite of the
 report layer cannot change a verdict, a witness or an entry name.
@@ -50,6 +50,9 @@ F5 = PrimeField(5)
 
 # sha256 of report_lines(4), frozen from the build described above
 GOLDEN_REPORTS_SHA256 = "1430f21e410c88c620731579ad1861e35d68140f394de6e05249d7f4936ae33a"
+# sha256 of report_lines(6, ("Q", "Fp:5")), the full-size battery every
+# LinMap fast path is held to
+GOLDEN_REPORTS_6_SHA256 = "c41e0cfefa32f31ac0c5803ada9637f810336e3b36b4b19abfefa3d6a50a79fa"
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +225,11 @@ def report_lines(max_order: int, variant_specs=("Fp:5",)) -> list[str]:
 def test_reports_and_gate_errors_are_frozen():
     text = "\n".join(report_lines(4))
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORTS_SHA256
+
+
+def test_order_6_reports_over_both_fields_are_frozen():
+    text = "\n".join(report_lines(6, ("Q", "Fp:5")))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORTS_6_SHA256
 
 
 def test_cocommutativity_gates_are_frozen():
