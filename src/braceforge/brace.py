@@ -7,10 +7,10 @@ second structure on the carrier.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import BraceAxiomsFailed, PrereqFailed
-from .hopf import (HopfAlgebraData, _check_maps, _maps, check_hopf,
+from .hopf import (HopfAlgebraData, _check_maps, check_hopf,
                    check_hopf_morphism, deform, require_cocommutative)
 from .linmap import (LinMap, Space, braiding, compose, equation_entry,
                      interchange, tensor)
@@ -33,7 +33,7 @@ class HopfBraceData:
     antipode1: LinMap
     product2: LinMap
     antipode2: LinMap
-    meta: dict | None = None
+    meta: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
         _check_maps(self, BRACE_MAPS, self.space.dim, self.field)
@@ -65,7 +65,7 @@ def gamma(b: HopfBraceData) -> LinMap:
         tensor(b.coproduct, id_h))
 
 
-@memoize(lambda b: _maps(b, BRACE_MAPS))
+@memoize
 def check_hopf_brace(b: HopfBraceData) -> AxiomReport:
     """Both Hopf structures plus the product compatibility law."""
     first = check_hopf(b.first()).prefixed("first.")

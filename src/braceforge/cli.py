@@ -181,9 +181,7 @@ def _suite_brace_checks(b: HopfBraceData) -> list[tuple[str, bool]]:
     out.append(("roundtrip_GF", roundtrip_GF(b).ok))
     direct = obt_from_matched_pair(m)
     via_g = functor_Q(functor_G(m))
-    out.append(("obt_from_mp", direct.action == via_g.action
-                and direct.involution == via_g.involution
-                and direct.hopf.product == via_g.hopf.product))
+    out.append(("obt_from_mp", direct == via_g))
     return out
 
 

@@ -12,7 +12,7 @@ witnesses.  Checkers accept data that is broken on purpose.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DimensionMismatch, FieldMismatch, NotAGroup, NotCocommutative, PrereqFailed
 from .linmap import (LinMap, Space, braiding, compose, equation_entry,
@@ -53,11 +53,6 @@ def _check_maps(record, names: tuple[str, ...], n: int, field) -> None:
     """Shape and field of each named map of record, in order."""
     for name, shape in _shapes(names, n).items():
         _check_map(getattr(record, name), shape, field, name)
-
-
-def _maps(record, names: tuple[str, ...] = HOPF_MAPS) -> tuple[LinMap, ...]:
-    """The named maps of record, in order: what a memoized checker keys on."""
-    return tuple(getattr(record, name) for name in names)
 
 
 @dataclass(frozen=True)
@@ -103,7 +98,7 @@ class HopfAlgebraData:
     counit: LinMap
     coproduct: LinMap
     antipode: LinMap
-    meta: dict | None = None
+    meta: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
         _check_maps(self, HOPF_MAPS, self.space.dim, self.field)
@@ -175,7 +170,7 @@ def convolution_unit(c: CoalgebraData, a: AlgebraData) -> LinMap:
     return compose(a.unit, c.counit)
 
 
-@memoize(lambda h: _maps(h))
+@memoize
 def check_hopf(h: HopfAlgebraData) -> AxiomReport:
     """Algebra + coalgebra axioms, bialgebra compatibility, antipode identity."""
     field, space = h.field, h.space

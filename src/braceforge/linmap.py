@@ -323,6 +323,8 @@ class LinMap:
     # -- accessors ---------------------------------------------------------
 
     def entry(self, i: int, j: int):
+        if type(i) is not int or type(j) is not int:
+            raise DimensionMismatch(f"entry index ({i!r},{j!r}) is not a pair of ints")
         if not (0 <= i < self.codomain.dim and 0 <= j < self.domain.dim):
             raise DimensionMismatch(
                 f"entry ({i},{j}) outside {self.codomain.dim}x{self.domain.dim}")
@@ -518,7 +520,7 @@ def braiding(field: Field, a: Space, b: Space) -> LinMap:
     return LinMap(field, a.tensor(b), b.tensor(a), entries)
 
 
-@memoize(lambda field, a, b: (field, a, b))
+@memoize
 def interchange(field: Field, a: Space, b: Space) -> LinMap:
     """id_A (x) c_{A,B} (x) id_B : A (x) A (x) B (x) B -> A (x) B (x) A (x) B,
     e_i (x) e_j (x) e_k (x) e_l -> e_i (x) e_k (x) e_j (x) e_l."""

@@ -8,14 +8,14 @@ to Hopf braces via functor_F / functor_G.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .actions import (LeftModuleData, RightModuleData, check_left_module,
                       check_module_coalgebra, check_right_module,
                       check_right_module_coalgebra)
 from .brace import BRACE_MAPS, HopfBraceData, gamma, phi, require_valid_brace
 from .errors import MpAxiomsFailed, NotDiagonal, PrereqFailed
-from .hopf import (HOPF_MAPS, HopfAlgebraData, _check_map, _maps,
+from .hopf import (HOPF_MAPS, HopfAlgebraData, _check_map,
                    check_hopf, check_hopf_morphism, require_cocommutative)
 from .linmap import (LinMap, braiding, componentwise, compose, equation_entry,
                      interchange, tensor)
@@ -41,7 +41,7 @@ class MatchedPairData:
     second: HopfAlgebraData
     left_action: LinMap
     right_action: LinMap
-    meta: dict | None = None
+    meta: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
         na, nh, field = self.first.space.dim, self.second.space.dim, self.first.field
@@ -120,16 +120,12 @@ def check_matched_pair(m: MatchedPairData) -> AxiomReport:
     ))
 
 
-def _is_diagonal(m: MatchedPairData) -> bool:
-    return _maps(m.first) == _maps(m.second)
-
-
-@memoize(lambda m: _maps(m.first) + _maps(m.second) + _maps(m, MP_EXTRA_MAPS))
+@memoize
 def check_mp_over_A(m: MatchedPairData) -> AxiomReport:
     """Matched pair axioms plus the diagonal interweaving identity
     product = product o psi; both Hopf components must coincide and be
     cocommutative."""
-    if not _is_diagonal(m):
+    if m.first != m.second:
         raise NotDiagonal("both Hopf components must have equal structure constants")
     require_cocommutative(
         m.first, "diagonal matched pairs need a cocommutative coproduct")

@@ -12,11 +12,11 @@ triple from a Hopf brace (functor_P / functor_Q below).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .brace import BRACE_MAPS, HopfBraceData, gamma, require_valid_brace
 from .errors import ObtAxiomsFailed, PrereqFailed
-from .hopf import (HOPF_MAPS, HopfAlgebraData, _check_maps, _maps,
+from .hopf import (HOPF_MAPS, HopfAlgebraData, _check_maps,
                    check_hopf, check_hopf_morphism, deform,
                    require_cocommutative)
 from .linmap import (LinMap, braiding, componentwise, compose, equation_entry,
@@ -32,7 +32,7 @@ class OppBraceTripleData:
     hopf: HopfAlgebraData
     action: LinMap
     involution: LinMap
-    meta: dict | None = None
+    meta: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
         _check_maps(self, OBT_EXTRA_MAPS, self.hopf.space.dim, self.field)
@@ -47,7 +47,7 @@ def mu_tilde(t: OppBraceTripleData) -> LinMap:
     return deform(t.hopf.product, t.hopf.coproduct, t.action)
 
 
-@memoize(lambda t: _maps(t.hopf) + _maps(t, OBT_EXTRA_MAPS))
+@memoize
 def check_obt(t: OppBraceTripleData) -> AxiomReport:
     """The eight triple axioms, one report entry each.
 

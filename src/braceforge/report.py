@@ -10,13 +10,14 @@ construction gated on a verdict calls ``require``, which raises with the
 report attached.
 
 Since nothing in a report can change, the gate checkers hand one report to
-every caller: ``memoize`` keeps the last MEMO_SIZE results per function.
+every caller: ``memoize`` keeps the last MEMO_SIZE results per function,
+keyed on the argument records themselves.  A record compares and hashes by
+its structure maps (or tables), never by its ``meta``, so equal structures
+share one verdict whatever their labels.
 """
 from __future__ import annotations
 
 import functools
-import threading
-from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Mapping
@@ -103,54 +104,22 @@ class AxiomReport:
 # mutants, holds a fixed and small amount of memory.
 MEMO_SIZE = 16
 
-CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
-_MISSING = object()
+def memoize(fn):
+    """Decorator: remember fn's result per argument tuple in a per-process
+    ``functools.lru_cache`` of MEMO_SIZE entries.
 
-
-def memoize(key):
-    """Decorator: remember a function's result per key(*args) in a
-    per-process LRU of MEMO_SIZE entries.
-
-    Only for functions whose result is immutable and depends on nothing
-    but the key, since every caller with an equal key gets the same object.
-    A call that raises stores nothing, so it raises again on every call.
-    The wrapper is a plain function carrying the wrapped one's name and
-    module, with ``cache_info()`` and ``cache_clear()`` like
-    ``functools.lru_cache``.
+    Only for functions whose result is immutable and depends on nothing but
+    the arguments' values, since every caller with equal arguments gets the
+    same object.  A call that raises stores nothing.
     """
-    def decorate(fn):
-        cache: OrderedDict = OrderedDict()
-        lock = threading.Lock()
-        counts = [0, 0]  # hits, misses
+    cached = functools.lru_cache(maxsize=MEMO_SIZE)(fn)
 
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            k = key(*args, **kwargs)
-            with lock:
-                result = cache.get(k, _MISSING)
-                if result is not _MISSING:
-                    cache.move_to_end(k)
-                    counts[0] += 1
-                    return result
-                counts[1] += 1
-            result = fn(*args, **kwargs)
-            with lock:
-                cache[k] = result
-                if len(cache) > MEMO_SIZE:
-                    cache.popitem(last=False)
-            return result
+    # a plain function, not the cache object: tracers wrap only plain functions
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        return cached(*args, **kwargs)
 
-        def cache_info() -> CacheInfo:
-            with lock:
-                return CacheInfo(counts[0], counts[1], MEMO_SIZE, len(cache))
-
-        def cache_clear() -> None:
-            with lock:
-                cache.clear()
-                counts[:] = [0, 0]
-
-        wrapper.cache_info = cache_info
-        wrapper.cache_clear = cache_clear
-        return wrapper
-    return decorate
+    wrapper.cache_info = cached.cache_info
+    wrapper.cache_clear = cached.cache_clear
+    return wrapper

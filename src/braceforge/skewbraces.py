@@ -19,7 +19,7 @@ sends their identity to the shared one.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import NotAGroup, OrderTooLarge, PrereqFailed, SkewBraceAxiomsFailed
 from .report import AxiomReport, CheckEntry
@@ -36,7 +36,7 @@ class CayleyTable:
 
     table: tuple[tuple[int, ...], ...]
     identity: int = 0
-    meta: dict | None = None
+    meta: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
         n = len(self.table)
@@ -50,8 +50,9 @@ class CayleyTable:
             for v in row:
                 if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
                     raise ValueError(f"table entry {v!r} out of range")
-        if not 0 <= self.identity < n:
-            raise ValueError(f"identity index {self.identity} out of range")
+        e = self.identity
+        if not isinstance(e, int) or isinstance(e, bool) or not 0 <= e < n:
+            raise ValueError(f"identity index {e!r} out of range")
 
     @property
     def order(self) -> int:
@@ -246,7 +247,7 @@ class SkewBraceData:
 
     dot: CayleyTable
     circ: CayleyTable
-    meta: dict | None = None
+    meta: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.dot.order != self.circ.order:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -284,6 +285,24 @@ def test_suite_small(capsys):
     assert lines[-1] == "suite: 6/6 pass (max order 3, field Q)"
     assert sum(1 for l in lines if l.startswith("PASS")) == 6
     assert any("(13 checks)" in l for l in lines)
+
+
+# sha256 of the serial `suite --max-order 8` stdout: the whole order <= 8
+# corpus, 14 group algebras and 335 braces with 13 verdicts each
+SUITE_8_SHA256 = {
+    "Q": "bcae20399d544d89e08715da8eca9bbeacbaf922201509ab13cbd0999d2e73f5",
+    "Fp:5": "067a9e62a0022b3b036904800b064ea3254cfe00600e2e2e708c18e1f820de35",
+}
+
+
+@pytest.mark.parametrize("spec", list(SUITE_8_SHA256))
+def test_suite_order_8_is_frozen(spec, capsys, monkeypatch):
+    monkeypatch.delenv("BRACE_FORGE_THREADS", raising=False)
+    code, out, err = run("suite", "--max-order", "8", "--field", spec,
+                         capsys=capsys)
+    assert (code, err) == (0, "")
+    assert out.endswith(f"suite: 349/349 pass (max order 8, field {spec})\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == SUITE_8_SHA256[spec]
 
 
 def test_suite_past_the_catalogue_exits_3_before_any_work(capsys, monkeypatch):

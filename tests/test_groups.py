@@ -58,6 +58,13 @@ def test_cayley_table_structural_validation():
         CayleyTable((), 0)
 
 
+@pytest.mark.parametrize("identity", [0.0, 1.0, True, False, "0", None])
+def test_cayley_table_rejects_a_non_int_identity(identity):
+    # check_group cannot index by a float, and storage refuses a bool identity
+    with pytest.raises(ValueError, match="identity index"):
+        CayleyTable(((0, 1), (1, 0)), identity)
+
+
 def test_groups_of_order_census():
     expected = {1: 1, 2: 1, 3: 1, 4: 2, 5: 1, 6: 2, 7: 1, 8: 5}
     for n, count in expected.items():

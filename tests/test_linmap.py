@@ -194,6 +194,14 @@ def test_constructor_rejects_non_integer_indices():
     assert LinMap(QQ, Space(2), Space(2), {(1, 0): 1}).rows() == [[0, 0], [1, 0]]
 
 
+def test_entry_rejects_non_integer_indices():
+    m = LinMap.identity(QQ, Space(2))
+    for i, j in ((0.5, 0), (0, 0.5), (True, 1), (1, True), ("0", 0), (0, 1.0)):
+        with pytest.raises(DimensionMismatch):
+            m.entry(i, j)
+    assert (m.entry(1, 1), m.entry(1, 0)) == (1, 0)
+
+
 @pytest.mark.parametrize("dim", [True, False, 0, -1, 1.0, 2.5, "2", None])
 def test_space_rejects_non_integer_and_bool_dims(dim):
     with pytest.raises(DimensionMismatch):

@@ -1,7 +1,8 @@
 """The gate checkers' verdict caches and the shared interchange.
 
 check_hopf, check_hopf_brace, check_obt and check_mp_over_A keep their
-last MEMO_SIZE reports, keyed on the record's structure maps.  A warm call
+last MEMO_SIZE reports, keyed on the record itself, which compares and
+hashes by its structure maps and never by its meta.  A warm call
 must return what an uncached call returns, witnesses included; the key
 must tell apart maps that differ only in their field; a raising call
 stores nothing; and the cache stays within its bound.
@@ -185,11 +186,11 @@ def test_memoize_under_threads():
     lock = threading.Lock()
     computed = []
 
-    @memoize(lambda x: x % 50)
+    @memoize
     def square(x):
         with lock:
             computed.append(x)
-        return (x % 50) ** 2
+        return x ** 2
 
     calls_per_thread, errors = 2000, []
 
@@ -197,7 +198,7 @@ def test_memoize_under_threads():
         try:
             for i in range(calls_per_thread):
                 x = (i * 7 + seed) % 200
-                assert square(x) == (x % 50) ** 2
+                assert square(x % 50) == (x % 50) ** 2
         except Exception as exc:  # reported by the main thread
             errors.append(exc)
 

@@ -9,18 +9,27 @@ over Fp:5.  A record reads its carrier from one of its maps (the unit,
 or the counit for a coalgebra), so a wide counit or a 3-dimensional
 unit is blamed on the next map checked.  The class and message of every
 rejection are frozen here.
+
+Every storable record is a value: it compares and hashes by its maps or
+tables, never by its meta, since every checker gives equal structures the
+same report whatever their labels.
 """
+import dataclasses
+
 import pytest
 
 from braceforge import (HopfAlgebraData, HopfBraceData, LinMap,
                         MatchedPairData, OppBraceTripleData, PrimeField, QQ,
                         Space, cyclic, enumerate_skew_braces, functor_F,
-                        functor_Q, linearize)
+                        functor_Q, group_algebra, linearize)
 from braceforge.brace import BRACE_MAPS
 from braceforge.errors import DimensionMismatch, FieldMismatch
 from braceforge.hopf import HOPF_MAPS, AlgebraData, CoalgebraData
 from braceforge.matched import MP_EXTRA_MAPS
 from braceforge.obt import OBT_EXTRA_MAPS
+from braceforge.storage import KINDS
+
+from mutants import reentry
 
 DIM, FIELD = DimensionMismatch, FieldMismatch
 
@@ -124,3 +133,46 @@ def test_constructor_rejection_is_frozen(record, names, fault):
         build({**maps, **faulty})
     assert (type(exc.value), str(exc.value)) == (exc_type, message)
 
+
+def _value_cases() -> dict:
+    """storage kind -> (a record, the path to one map or table in it)."""
+    s = enumerate_skew_braces(cyclic(3))[0]
+    b = linearize(s, QQ)
+    return {
+        "hopf": (group_algebra(cyclic(2), QQ), ("antipode",)),
+        "brace": (b, ("product2",)),
+        "obt": (functor_Q(b), ("hopf", "product")),
+        "matched_pair": (functor_F(b), ("first", "antipode")),
+        "group": (cyclic(3), ("table",)),
+        "skew_brace": (s, ("circ", "table")),
+    }
+
+
+def _relabeled(x):
+    """x with a new meta on it and on every record inside it."""
+    return dataclasses.replace(x, meta={"label": "relabeled"}, **{
+        f.name: _relabeled(getattr(x, f.name)) for f in dataclasses.fields(x)
+        if f.name != "meta" and dataclasses.is_dataclass(getattr(x, f.name))})
+
+
+def _changed(x, path: tuple[str, ...]):
+    """x with one entry of the map or table at path changed."""
+    name, *rest = path
+    value = getattr(x, name)
+    if rest:
+        new = _changed(value, tuple(rest))
+    elif isinstance(value, LinMap):
+        new = reentry(value, {(0, 0): value.field.add(value.entry(0, 0), 1)})
+    else:  # a Cayley table
+        first = ((value[0][0] + 1) % len(value), *value[0][1:])
+        new = (first, *value[1:])
+    return dataclasses.replace(x, **{name: new})
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_records_are_values_of_their_maps(kind):
+    x, path = _value_cases()[kind]
+    y = _relabeled(x)
+    assert x.meta != y.meta
+    assert hash(x) == hash(y) and x == y
+    assert x != _changed(x, path)

@@ -53,6 +53,9 @@ GOLDEN_REPORTS_SHA256 = "1430f21e410c88c620731579ad1861e35d68140f394de6e05249d7f
 # sha256 of report_lines(6, ("Q", "Fp:5")), the full-size battery every
 # LinMap fast path is held to
 GOLDEN_REPORTS_6_SHA256 = "c41e0cfefa32f31ac0c5803ada9637f810336e3b36b4b19abfefa3d6a50a79fa"
+# sha256 of report_lines(8, ("Q", "Fp:5")): the same battery to order 8,
+# about two minutes on 2 cores, so it runs only under `-m slow`
+GOLDEN_REPORTS_8_SHA256 = "22882920caa1b1c956fcf14618f9b13c338fc35cd0a3ba0f89140e0552eae497"
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +233,12 @@ def test_reports_and_gate_errors_are_frozen():
 def test_order_6_reports_over_both_fields_are_frozen():
     text = "\n".join(report_lines(6, ("Q", "Fp:5")))
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORTS_6_SHA256
+
+
+@pytest.mark.slow
+def test_order_8_reports_over_both_fields_are_frozen():
+    text = "\n".join(report_lines(8, ("Q", "Fp:5")))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORTS_8_SHA256
 
 
 def test_cocommutativity_gates_are_frozen():
