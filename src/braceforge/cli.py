@@ -19,7 +19,7 @@ from .actions import (LeftModuleData, RightModuleData, check_left_module,
                       check_module_algebra, check_module_coalgebra,
                       check_right_module, check_right_module_coalgebra)
 from .brace import (HopfBraceData, check_brace_identities, check_hopf_brace,
-                    gamma, phi, trivial_brace)
+                    trivial_brace)
 from .errors import (BraceForgeError, NotAGroup, NotCocommutative, NotDiagonal,
                      OrderTooLarge, PrereqFailed, StorageError, _AxiomsFailed)
 from .hopf import check_hopf, group_algebra
@@ -29,8 +29,8 @@ from .matched import (check_matched_pair, check_mp_over_A, functor_F, functor_G,
 from .obt import (build_deformed_hopf, check_lemma_mu_recovery, check_obt,
                   functor_P, functor_Q, mu_tilde, roundtrip_PQ, roundtrip_QP)
 from .report import AxiomReport
-from .skewbraces import (SkewBraceData, builtin_group, check_group,
-                         check_skew_brace, enumerate_skew_braces,
+from .skewbraces import (SkewBraceData, builtin_group, builtin_order,
+                         check_group, check_skew_brace, enumerate_skew_braces,
                          groups_of_order, linearize)
 
 _CHECKERS = {
@@ -116,22 +116,31 @@ def _require_max_order(max_order: int) -> None:
         raise ValueError(f"--max-order must be at least 1, got {max_order}")
 
 
+def _require_order(order: int, max_order: int) -> None:
+    if order > max_order:
+        raise OrderTooLarge(f"group order {order} exceeds --max-order {max_order}")
+
+
 def _cmd_enumerate(args) -> int:
     _require_max_order(args.max_order)
     spec = args.group
     if spec.startswith("builtin:"):
-        table = builtin_group(spec[len("builtin:"):])
+        name = spec[len("builtin:"):]
+        # before builtin_group builds a Z<n> table of n*n entries
+        _require_order(builtin_order(name), args.max_order)
+        table = builtin_group(name)
     else:
         table = _load_as(spec, "group")
-    if table.order > args.max_order:
-        raise OrderTooLarge(
-            f"group order {table.order} exceeds --max-order {args.max_order}")
+        _require_order(table.order, args.max_order)
     braces = enumerate_skew_braces(table)
     label = table.label or "group"
     print(f"group={label} order={table.order} skew_braces={len(braces)}")
     if args.output:
         outdir = Path(args.output)
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise StorageError(f"cannot write {outdir}: {exc}") from None
         for i, s in enumerate(braces):
             tagged = SkewBraceData(s.dot, s.circ,
                                    {"label": f"{label}-brace-{i}"})
@@ -158,13 +167,12 @@ def _suite_brace_checks(b: HopfBraceData) -> list[tuple[str, bool]]:
     out.append(("brace", check_hopf_brace(b).ok))
     out.append(("identities", check_brace_identities(b).ok))
     h1, h2 = b.first(), b.second()
-    gam = gamma(b)
-    mod = LeftModuleData(hopf=h2, carrier=b.space, action=gam)
+    m = functor_F(b)
+    mod = LeftModuleData(hopf=h2, carrier=b.space, action=m.left_action)
     mods_ok = (check_left_module(mod).ok
                and check_module_algebra(mod, h1.algebra).ok
                and check_module_coalgebra(mod, h1.coalgebra).ok)
-    ph = phi(b)
-    rmod = RightModuleData(hopf=h2, carrier=b.space, action=ph)
+    rmod = RightModuleData(hopf=h2, carrier=b.space, action=m.right_action)
     mods_ok = (mods_ok and check_right_module(rmod).ok
                and check_right_module_coalgebra(rmod, h1.coalgebra).ok)
     out.append(("modules", mods_ok))
@@ -175,7 +183,6 @@ def _suite_brace_checks(b: HopfBraceData) -> list[tuple[str, bool]]:
     out.append(("deformed_product", mu_tilde(t) == b.product1))
     out.append(("roundtrip_PQ", roundtrip_PQ(b).ok))
     out.append(("roundtrip_QP", roundtrip_QP(t).ok))
-    m = functor_F(b)
     out.append(("matched_pair", check_mp_over_A(m).ok))
     out.append(("roundtrip_FG", roundtrip_FG(m).ok))
     out.append(("roundtrip_GF", roundtrip_GF(b).ok))

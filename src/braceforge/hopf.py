@@ -42,11 +42,9 @@ MAP_SHAPES = {
 }
 
 
-def _shapes(names: tuple[str, ...], n: int,
-            prefix: str = "") -> dict[str, tuple[int, int]]:
+def _shapes(names: tuple[str, ...], n: int) -> dict[str, tuple[int, int]]:
     """(rows, cols) of each named map on an n-dimensional carrier."""
-    return {prefix + name: tuple(n ** k for k in MAP_SHAPES[name])
-            for name in names}
+    return {name: tuple(n ** k for k in MAP_SHAPES[name]) for name in names}
 
 
 def _check_maps(record, names: tuple[str, ...], n: int, field) -> None:

@@ -40,7 +40,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 from .errors import DimensionMismatch, FieldMismatch
 from .report import AxiomReport, CheckEntry, memoize
@@ -84,8 +84,34 @@ def _canonical(c):
     return c if type(c) is int or c.denominator != 1 else c.numerator
 
 
+class Field:
+    """What every scalar field shares: zero is 0, one is 1, and each
+    operation is the plain one on representatives, then normalize."""
+
+    def zero(self) -> int:
+        return 0
+
+    def one(self) -> int:
+        return 1
+
+    def add(self, a, b):
+        return self.normalize(a + b)
+
+    def sub(self, a, b):
+        return self.normalize(a - b)
+
+    def mul(self, a, b):
+        return self.normalize(a * b)
+
+    def neg(self, a):
+        return self.normalize(-a)
+
+    def format(self, v) -> str:
+        return str(self.normalize(v))  # str of a Fraction is "n/d"
+
+
 @dataclass(frozen=True)
-class Rationals:
+class Rationals(Field):
     """Arbitrary-precision rational scalars, always reduced, denominator > 0.
 
     Values are stored in one canonical form: an ``int`` when the value is
@@ -99,24 +125,6 @@ class Rationals:
     """
 
     name = "Q"
-
-    def zero(self) -> int:
-        return 0
-
-    def one(self) -> int:
-        return 1
-
-    def add(self, a, b):
-        return _canonical(a + b)
-
-    def sub(self, a, b):
-        return _canonical(a - b)
-
-    def mul(self, a, b):
-        return _canonical(a * b)
-
-    def neg(self, a):
-        return _canonical(-a)
 
     def normalize(self, v):
         """A sum of products of field values, in canonical form."""
@@ -149,15 +157,12 @@ class Rationals:
             raise ValueError(f"not a canonical rational (not reduced): {s!r}")
         return v
 
-    def format(self, v) -> str:
-        return str(_canonical(v))  # str of a Fraction is "n/d"
-
 
 QQ = Rationals()
 
 
 @dataclass(frozen=True)
-class PrimeField:
+class PrimeField(Field):
     """Integers mod a prime p, representatives in [0, p).
 
     Canonical string form: the decimal residue, no leading zeros.
@@ -173,24 +178,6 @@ class PrimeField:
     @property
     def name(self) -> str:
         return f"Fp:{self.p}"
-
-    def zero(self) -> int:
-        return 0
-
-    def one(self) -> int:
-        return 1 % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
 
     def normalize(self, v):
         """A sum of products of field values, in canonical form."""
@@ -213,12 +200,6 @@ class PrimeField:
         if v >= self.p:
             raise ValueError(f"residue {s} out of range for {self.name}")
         return v
-
-    def format(self, v) -> str:
-        return str(v % self.p)
-
-
-Field = Union[Rationals, PrimeField]
 
 
 def parse_field(spec: str) -> Field:

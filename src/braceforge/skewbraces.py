@@ -193,16 +193,28 @@ _BUILTIN_FACTORIES = {
 }
 
 
+def _cyclic_order(name: str) -> int | None:
+    """n when name is Z<n> with n >= 1, else None."""
+    key = name.strip().upper()
+    if key.startswith("Z") and key[1:].isascii() and key[1:].isdigit():
+        return int(key[1:]) or None
+    return None
+
+
 def builtin_group(name: str) -> CayleyTable:
     """Look up a named group: Z<n>, S3, D3, D4, Q8, V4, Z2xZ2, Z2xZ4, Z2xZ2xZ2."""
     key = name.strip().upper()
     if key in _BUILTIN_FACTORIES:
         return _BUILTIN_FACTORIES[key]()
-    if key.startswith("Z") and key[1:].isascii() and key[1:].isdigit():
-        n = int(key[1:])
-        if n >= 1:
-            return cyclic(n)
-    raise ValueError(f"unknown builtin group {name!r}")
+    n = _cyclic_order(key)
+    if n is None:
+        raise ValueError(f"unknown builtin group {name!r}")
+    return cyclic(n)
+
+
+def builtin_order(name: str) -> int:
+    """The order of builtin_group(name), found without building a Z<n> table."""
+    return _cyclic_order(name) or builtin_group(name).order
 
 
 def groups_of_order(n: int) -> list[CayleyTable]:

@@ -13,6 +13,11 @@ residues as decimal strings).  Tensor domains and codomains use the
 left-factor-major index convention of linmap.  Group kinds carry integer
 tables instead.
 
+_LAYOUTS is the one place that says how each kind is stored: its record
+type and, for a map-bearing kind, each Hopf component's map-name prefix
+and dimension key ("dim", or "dim_second" for a matched pair's second
+component) and the record's own maps.
+
 Serialization is canonical: sorted keys, two-space indent, trailing
 newline.  save(load(f)) is byte-identical for files produced by save.
 """
@@ -22,7 +27,8 @@ import json
 from typing import Any
 
 from .brace import BRACE_MAPS, HopfBraceData
-from .errors import CanonicalFormError, ParseError, SchemaError, ShapeError
+from .errors import (CanonicalFormError, ParseError, SchemaError, ShapeError,
+                     StorageError)
 from .hopf import HOPF_MAPS, HopfAlgebraData, _shapes
 from .linmap import LinMap, Space, parse_field
 from .matched import MP_EXTRA_MAPS, MatchedPairData, _action_shapes
@@ -31,28 +37,28 @@ from .skewbraces import CayleyTable, SkewBraceData
 
 FORMAT = "braceforge/1"
 
-_TYPES = {
-    "hopf": HopfAlgebraData,
-    "brace": HopfBraceData,
-    "obt": OppBraceTripleData,
-    "matched_pair": MatchedPairData,
-    "group": CayleyTable,
-    "skew_brace": SkewBraceData,
+# Each kind's record type; for a map-bearing kind also its Hopf components,
+# as (attribute, document prefix, dimension key), then the record's own maps.
+_LAYOUTS = {
+    "hopf": (HopfAlgebraData, (), HOPF_MAPS),
+    "brace": (HopfBraceData, (), BRACE_MAPS),
+    "obt": (OppBraceTripleData, (("hopf", "", "dim"),), OBT_EXTRA_MAPS),
+    "matched_pair": (MatchedPairData, (("first", "first_", "dim"),
+                                       ("second", "second_", "dim_second")),
+                     MP_EXTRA_MAPS),
+    "group": (CayleyTable, (), ()),
+    "skew_brace": (SkewBraceData, (), ()),
 }
-KINDS = tuple(_TYPES)
+KINDS = tuple(_LAYOUTS)
 
 
 def _map_shapes(kind: str, dims: dict[str, int]) -> dict[str, tuple[int, int]]:
-    n = dims["dim"]
-    if kind == "hopf":
-        return _shapes(HOPF_MAPS, n)
-    if kind == "brace":
-        return _shapes(BRACE_MAPS, n)
-    if kind == "obt":
-        return _shapes(HOPF_MAPS + OBT_EXTRA_MAPS, n)
-    nh = dims["dim_second"]
-    return {**_shapes(HOPF_MAPS, n, "first_"), **_shapes(HOPF_MAPS, nh, "second_"),
-            **_action_shapes(n, nh)}
+    _, components, own = _LAYOUTS[kind]
+    shapes = {prefix + name: shape for _, prefix, key in components
+              for name, shape in _shapes(HOPF_MAPS, dims[key]).items()}
+    if kind == "matched_pair":  # its actions span both carriers
+        return {**shapes, **_action_shapes(dims["dim"], dims["dim_second"])}
+    return {**shapes, **_shapes(own, dims["dim"])}
 
 
 # ---------------------------------------------------------------------------
@@ -169,31 +175,20 @@ def from_document(doc: Any):
         circ = CayleyTable(_parse_int_table(doc["circ"], n, "circ"), ident)
         return SkewBraceData(dot, circ, meta)
 
-    required = {"format", "kind", "field", "dim", "maps"}
-    if kind == "matched_pair":
-        required.add("dim_second")
-    _expect_keys(doc, required, {"metadata"}, kind)
+    cls, components, _ = _LAYOUTS[kind]
+    dim_keys = dict.fromkeys(("dim", *(key for *_, key in components)))
+    _expect_keys(doc, {"format", "kind", "field", "maps", *dim_keys},
+                 {"metadata"}, kind)
     field = _get_field(doc)
-    dims = {"dim": _get_dim(doc, "dim")}
-    if kind == "matched_pair":
-        dims["dim_second"] = _get_dim(doc, "dim_second")
+    dims = {key: _get_dim(doc, key) for key in dim_keys}
     shapes = _map_shapes(kind, dims)
     maps = _get_maps(doc, tuple(shapes))
     parsed = {name: _parse_matrix(field, maps[name], shape, f"maps.{name}")
               for name, shape in shapes.items()}
-
-    if kind in ("hopf", "brace"):
-        return _TYPES[kind](**parsed, meta=meta)
-    if kind == "obt":
-        hopf = _pop_hopf(parsed, "")
-        return OppBraceTripleData(hopf=hopf, **parsed, meta=meta)
-    first, second = _pop_hopf(parsed, "first_"), _pop_hopf(parsed, "second_")
-    return MatchedPairData(first=first, second=second, **parsed, meta=meta)
-
-
-def _pop_hopf(parsed: dict[str, LinMap], prefix: str) -> HopfAlgebraData:
-    """The Hopf component stored under prefix, removed from parsed."""
-    return HopfAlgebraData(**{name: parsed.pop(prefix + name) for name in HOPF_MAPS})
+    hopfs = {attr: HopfAlgebraData(**{name: parsed.pop(prefix + name)
+                                      for name in HOPF_MAPS})
+             for attr, prefix, _ in components}
+    return cls(**hopfs, **parsed, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -204,25 +199,16 @@ def _dump_matrix(f: LinMap) -> list[list[str]]:
     return [[fmt(v) for v in row] for row in f.rows()]
 
 
-def _named(obj, names: tuple[str, ...], prefix: str = "") -> dict[str, LinMap]:
-    return {prefix + name: getattr(obj, name) for name in names}
-
-
 def _maps_of(kind: str, obj) -> dict[str, LinMap]:
     """Every structure map of a map-bearing object, by document name."""
-    if kind == "hopf":
-        return _named(obj, HOPF_MAPS)
-    if kind == "brace":
-        return _named(obj, BRACE_MAPS)
-    if kind == "obt":
-        return {**_named(obj.hopf, HOPF_MAPS), **_named(obj, OBT_EXTRA_MAPS)}
-    return {**_named(obj.first, HOPF_MAPS, "first_"),
-            **_named(obj.second, HOPF_MAPS, "second_"),
-            **_named(obj, MP_EXTRA_MAPS)}
+    _, components, own = _LAYOUTS[kind]
+    maps = {prefix + name: getattr(getattr(obj, attr), name)
+            for attr, prefix, _ in components for name in HOPF_MAPS}
+    return {**maps, **{name: getattr(obj, name) for name in own}}
 
 
 def kind_of(obj) -> str:
-    for kind, cls in _TYPES.items():
+    for kind, (cls, *_) in _LAYOUTS.items():
         if isinstance(obj, cls):
             return kind
     raise SchemaError(f"cannot store objects of type {type(obj).__name__}")
@@ -249,11 +235,9 @@ def to_document(obj) -> dict:
         return doc
 
     doc["field"] = obj.field.name
-    if kind == "matched_pair":
-        doc["dim"] = obj.first.space.dim
-        doc["dim_second"] = obj.second.space.dim
-    else:
-        doc["dim"] = (obj.hopf if kind == "obt" else obj).space.dim
+    components = _LAYOUTS[kind][1]
+    doc.update({key: getattr(obj, attr).space.dim for attr, _, key in components}
+               or {"dim": obj.space.dim})
     doc["maps"] = {name: _dump_matrix(f) for name, f in _maps_of(kind, obj).items()}
     return doc
 
@@ -272,8 +256,12 @@ def loads(text: str):
 
 
 def save(obj, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(obj))
+    text = dumps(obj)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise StorageError(f"cannot write {path}: {exc}") from None
 
 
 def load(path):

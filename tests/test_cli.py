@@ -238,6 +238,40 @@ def test_enumerate_order_guard_exits_3(files, capsys):
     assert "precondition:" in err
 
 
+def test_enumerate_order_guard_precedes_the_cyclic_table(capsys, monkeypatch):
+    small = braceforge.skewbraces.cyclic
+
+    def cyclic_up_to_8(n):
+        assert n <= 8, f"built the Z{n} table"
+        return small(n)
+
+    monkeypatch.setattr(braceforge.skewbraces, "cyclic", cyclic_up_to_8)
+    code, out, err = run("enumerate", "skew-braces", "--group",
+                         "builtin:Z100000", capsys=capsys)
+    assert (code, out) == (3, "")
+    assert err == "precondition: group order 100000 exceeds --max-order 8\n"
+
+
+def test_enumerate_output_onto_a_file_exits_2(files, capsys):
+    code, _, err = run("enumerate", "skew-braces", "--group", "builtin:Z3",
+                       "-o", str(files["s3"]), capsys=capsys)
+    assert code == 2
+    assert err.startswith(f"error: cannot write {files['s3']}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("target", ["nodir/b.json", "."])
+def test_linearize_unwritable_output_exits_2(target, files, capsys):
+    d = files["dir"]
+    save(enumerate_skew_braces(cyclic(3))[0], d / "s.json")
+    path = d / target
+    code, out, err = run("linearize", str(d / "s.json"), "--field", "Q",
+                         "-o", str(path), capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_enumerate_max_order_below_1_exits_2(value, capsys):
     code, out, err = run("enumerate", "skew-braces", "--group", "builtin:Z3",

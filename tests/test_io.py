@@ -17,7 +17,8 @@ from braceforge.hopf import HOPF_MAPS
 from braceforge.matched import MP_EXTRA_MAPS
 from braceforge.obt import OBT_EXTRA_MAPS
 
-from mutants import dual_group_hopf
+from mutants import (dual_group_hopf, trivial_left_action,
+                     trivial_right_action)
 
 F5 = PrimeField(5)
 
@@ -140,6 +141,26 @@ def test_matched_pair_document_keys():
     assert set(doc["maps"]) == expected
 
 
+def two_carrier_pair():
+    """A matched pair of Z2 and Z3 acting trivially, so dim != dim_second."""
+    a, h = group_algebra(cyclic(2), QQ), group_algebra(cyclic(3), QQ)
+    return MatchedPairData(first=a, second=h,
+                           left_action=trivial_left_action(h, a.space),
+                           right_action=trivial_right_action(h.space, a))
+
+
+def test_two_carrier_matched_pair_save_load_save(tmp_path):
+    m = two_carrier_pair()
+    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+    save(m, p1)
+    back = load(p1)
+    save(back, p2)
+    assert back == m
+    assert p1.read_bytes() == p2.read_bytes()
+    doc = json.loads(p1.read_text())
+    assert (doc["dim"], doc["dim_second"]) == (2, 3)
+
+
 # -- rejection paths ----------------------------------------------------------
 
 def hopf_doc():
@@ -169,6 +190,14 @@ def test_rejects_wrong_shapes():
     doc = hopf_doc()
     doc["maps"]["unit"].append(["0"])
     with pytest.raises(ShapeError):
+        loads(json.dumps(doc))
+
+
+def test_rejects_second_component_shaped_for_dim():
+    doc = to_document(two_carrier_pair())
+    for name, rows in hopf_doc()["maps"].items():
+        doc["maps"]["second_" + name] = rows
+    with pytest.raises(ShapeError, match="maps.second_"):
         loads(json.dumps(doc))
 
 
