@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .errors import PrereqFailed
+from .errors import DimensionMismatch, PrereqFailed
 from .hopf import AlgebraData, CoalgebraData, HopfAlgebraData, _check_map, check_hopf
 from .linmap import (LinMap, Space, braiding, compose, equation_entry,
                      interchange, tensor)
@@ -18,25 +18,25 @@ from .report import AxiomReport
 
 
 @dataclass(frozen=True)
-class LeftModuleData:
+class _ModuleData:
     hopf: HopfAlgebraData
     carrier: Space
     action: LinMap
 
     def __post_init__(self):
         h, m = self.hopf.space.dim, self.carrier.dim
-        _check_map(self.action, (m, h * m), self.hopf.field, "left action")
+        if self.action.codomain != self.carrier:
+            raise DimensionMismatch(f"carrier has dimension {m}, but the {self._what} "
+                                    f"lands in dimension {self.action.codomain.dim}")
+        _check_map(self.action, (m, h * m), self.hopf.field, self._what)
 
 
-@dataclass(frozen=True)
-class RightModuleData:
-    hopf: HopfAlgebraData
-    carrier: Space
-    action: LinMap
+class LeftModuleData(_ModuleData):
+    _what = "left action"  # hopf (x) carrier -> carrier
 
-    def __post_init__(self):
-        h, m = self.hopf.space.dim, self.carrier.dim
-        _check_map(self.action, (m, m * h), self.hopf.field, "right action")
+
+class RightModuleData(_ModuleData):
+    _what = "right action"  # carrier (x) hopf -> carrier
 
 
 def check_left_module(m: LeftModuleData) -> AxiomReport:

@@ -252,6 +252,8 @@ def loads(text: str):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except (RecursionError, ValueError) as exc:  # too deep, or too many digits
+        raise ParseError(f"cannot parse: {exc}") from None
     return from_document(doc)
 
 

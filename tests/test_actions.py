@@ -1,12 +1,12 @@
 import pytest
 
 from braceforge import (HopfAlgebraData, LeftModuleData, LinMap, QQ,
-                        RightModuleData, adjoint_action, check_left_module,
+                        RightModuleData, Space, adjoint_action, check_left_module,
                         check_module_algebra, check_module_coalgebra,
                         check_right_module, check_right_module_coalgebra,
                         compose, cyclic, group_algebra,
                         left_tensor_square_action, symmetric_3, tensor)
-from braceforge.errors import PrereqFailed
+from braceforge.errors import DimensionMismatch, PrereqFailed
 
 from mutants import reentry, trivial_left_action, trivial_right_action
 
@@ -34,6 +34,18 @@ def test_right_module_mirrors():
     triv = RightModuleData(hopf=h, carrier=h.space,
                            action=trivial_right_action(h.space, h))
     assert check_right_module(triv).ok
+
+
+def test_wrong_carrier_names_the_action_codomain():
+    h = group_algebra(cyclic(2), QQ)
+    for cls, side in ((LeftModuleData, "left"), (RightModuleData, "right")):
+        with pytest.raises(DimensionMismatch) as err:
+            cls(hopf=h, carrier=Space(3), action=h.product)
+        assert str(err.value) == (f"carrier has dimension 3, but the {side} "
+                                  "action lands in dimension 2")
+    # one action on both sides: the records still tell left from right
+    assert regular_left(h) != regular_right(h)
+    assert regular_left(h) == regular_left(h)
 
 
 def test_corrupted_action_fails_with_witness():

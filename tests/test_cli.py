@@ -94,6 +94,17 @@ def test_check_every_kind_rejects_every_other_kind(tmp_path, capsys):
             assert err == f"error: {path} holds a {other} file, expected {kind}\n"
 
 
+@pytest.mark.parametrize("text", ["[" * 200000, "1" * 5000],
+                         ids=["deep_nesting", "long_integer"])
+def test_check_unparsable_json_exits_2(text, tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_text(text)
+    code, out, err = run("check", "hopf", str(path), capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot parse: ")
+    assert err.count("\n") == 1
+
+
 def test_check_missing_file_exits_2(files, capsys):
     code, _, err = run("check", "hopf", str(files["dir"] / "nope.json"),
                        capsys=capsys)
@@ -253,9 +264,9 @@ def test_enumerate_order_guard_precedes_the_cyclic_table(capsys, monkeypatch):
 
 
 def test_enumerate_output_onto_a_file_exits_2(files, capsys):
-    code, _, err = run("enumerate", "skew-braces", "--group", "builtin:Z3",
-                       "-o", str(files["s3"]), capsys=capsys)
-    assert code == 2
+    code, out, err = run("enumerate", "skew-braces", "--group", "builtin:Z3",
+                         "-o", str(files["s3"]), capsys=capsys)
+    assert (code, out) == (2, "")
     assert err.startswith(f"error: cannot write {files['s3']}: ")
     assert err.count("\n") == 1
 

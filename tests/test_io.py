@@ -264,8 +264,9 @@ def test_rejects_bad_group_documents():
 
 
 def test_parse_error_on_malformed_json(tmp_path):
-    with pytest.raises(ParseError):
-        loads("{not json")
+    for text in ("{not json", "[" * 200000, "1" * 5000):
+        with pytest.raises(ParseError):
+            loads(text)
     with pytest.raises(ParseError):
         load(tmp_path / "missing.json")
 

@@ -1,18 +1,28 @@
+import dataclasses
+import sys
+
 import pytest
 
-from braceforge import (LinMap, MatchedPairData, QQ, braiding, check_hopf,
-                        check_hopf_brace, check_matched_pair, check_mp_morphism,
-                        check_mp_over_A, compose, cyclic, enumerate_skew_braces,
+from braceforge import (LeftModuleData, LinMap, MatchedPairData, QQ,
+                        RightModuleData, braiding, check_hopf,
+                        check_hopf_brace, check_left_module,
+                        check_matched_pair, check_module_coalgebra,
+                        check_mp_morphism, check_mp_over_A, check_obt,
+                        check_right_module, check_right_module_coalgebra,
+                        compose, cyclic, enumerate_skew_braces,
                         functor_F, functor_G, functor_Q, gamma, group_algebra,
                         linearize, obt_from_matched_pair, phi, psi,
                         roundtrip_FG, roundtrip_GF, roundtrip_PQ, roundtrip_QP,
                         symmetric_3, tensor, trivial_brace)
+from braceforge.cli import _suite_brace_checks
 from braceforge.errors import (MpAxiomsFailed, NotCocommutative, NotDiagonal,
                                PrereqFailed)
+from braceforge.linmap import interchange
 
 from mutants import (broken_matched_pair, dual_group_hopf,
                      trivial_left_action, trivial_right_action)
 from test_brace import set_gamma, set_phi, xor_brace
+from test_report import doubled
 
 
 def trivial_pair(a, h=None):
@@ -176,6 +186,61 @@ def test_braid_mutant_is_a_genuine_module_on_both_sides():
     assert rep.entry("i.left_module.carrier_coproduct").passed
     assert rep.entry("i.right_module.routes_agree").passed
     assert rep.entry("iv").passed
+
+
+# -- axiom (i) is the four module checks ----------------------------------
+
+def test_axiom_i_is_the_four_module_checks(corpus):
+    """F(b) for every order <= 4 brace over Q and Fp:5, and F(b) with its
+    left or its right action's first constant doubled, against the module
+    records braceforge suite built from b before it read axiom (i)."""
+    seen = set()
+    for _, s, b in corpus:
+        if s.order > 4:
+            continue
+        h1, h2 = b.first(), b.second()
+        m = functor_F(b)
+        for pair in (m,
+                     dataclasses.replace(m, left_action=doubled(m.left_action)),
+                     dataclasses.replace(m, right_action=doubled(m.right_action))):
+            left = LeftModuleData(hopf=h2, carrier=b.space, action=pair.left_action)
+            right = RightModuleData(hopf=h2, carrier=b.space,
+                                    action=pair.right_action)
+            modules = (check_left_module(left).ok
+                       and check_module_coalgebra(left, h1.coalgebra).ok
+                       and check_right_module(right).ok
+                       and check_right_module_coalgebra(right, h1.coalgebra).ok)
+            axiom_i = all(e.passed for e in check_matched_pair(pair).entries
+                          if e.name.startswith("i."))
+            assert axiom_i == modules
+            seen.add(modules)
+    assert seen == {True, False}
+
+
+def test_suite_row_checks_each_module_coalgebra_once(corpus, monkeypatch):
+    """Wrap both module-coalgebra checkers wherever the package binds them."""
+    sides = {id(check_module_coalgebra): "left",
+             id(check_right_module_coalgebra): "right"}
+    calls = dict.fromkeys(sides.values(), 0)
+
+    def counting(fn):
+        def wrapper(*args):
+            calls[sides[id(fn)]] += 1
+            return fn(*args)
+        return wrapper
+
+    for name, mod in list(sys.modules.items()):
+        if name == "braceforge" or name.startswith("braceforge."):
+            for attr, value in list(vars(mod).items()):
+                if id(value) in sides:
+                    monkeypatch.setattr(mod, attr, counting(value))
+    rows = [b for _, s, b in corpus if s.order <= 4]
+    for b in rows:
+        for fn in (check_hopf, check_hopf_brace, check_obt, check_mp_over_A,
+                   interchange):
+            fn.cache_clear()
+        _suite_brace_checks(b)
+    assert calls == {"left": len(rows), "right": len(rows)}
 
 
 # -- morphisms ------------------------------------------------------------
