@@ -27,9 +27,9 @@ from .matched import (check_matched_pair, check_mp_over_A, functor_F, functor_G,
 from .obt import (build_deformed_hopf, check_lemma_mu_recovery, check_obt,
                   functor_P, functor_Q, mu_tilde, roundtrip_PQ, roundtrip_QP)
 from .report import AxiomReport
-from .skewbraces import (SkewBraceData, builtin_group, builtin_order,
-                         check_group, check_skew_brace, enumerate_skew_braces,
-                         groups_of_order, linearize)
+from .skewbraces import (ENUMERATION_ORDER_BOUND, SkewBraceData, builtin_group,
+                         builtin_order, check_group, check_skew_brace,
+                         enumerate_skew_braces, groups_of_order, linearize)
 
 _CHECKERS = {
     "hopf": check_hopf,
@@ -274,7 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("what", choices=["skew-braces"])
     p.add_argument("--group", required=True,
                    help="structure file or builtin:<name> (e.g. builtin:Z4)")
-    p.add_argument("--max-order", type=int, default=8)
+    p.add_argument("--max-order", type=int, default=ENUMERATION_ORDER_BOUND)
     p.add_argument("-o", "--output", help="directory for one file per result")
     p.set_defaults(func=_cmd_enumerate)
 

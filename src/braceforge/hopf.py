@@ -208,6 +208,7 @@ def is_commutative(h: HopfAlgebraData) -> bool:
     return compose(h.product, swap) == h.product
 
 
+@memoize
 def is_cocommutative(h: HopfAlgebraData) -> bool:
     swap = braiding(h.field, h.space, h.space)
     return compose(swap, h.coproduct) == h.coproduct

@@ -48,11 +48,12 @@ from .report import AxiomReport, CheckEntry, memoize
 # ---------------------------------------------------------------------------
 # scalar fields
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981  # the least composite passing all 13 bases
 
 
 def _is_prime(n: int) -> bool:
-    # deterministic Miller-Rabin, valid for n < 3.3e24
+    # deterministic Miller-Rabin, valid for n < _MR_BOUND
     if n < 2:
         return False
     for q in _MR_BASES:
@@ -172,6 +173,8 @@ class PrimeField(Field):
 
     def __post_init__(self):
         p = self.p
+        if isinstance(p, int) and p >= _MR_BOUND:
+            raise ValueError(f"modulus must be below {_MR_BOUND}, got {p}")
         if not isinstance(p, int) or isinstance(p, bool) or not _is_prime(p):
             raise ValueError(f"modulus must be a prime integer, got {p!r}")
 

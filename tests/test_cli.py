@@ -367,6 +367,17 @@ def test_suite_max_order_below_1_exits_2(value, capsys):
     assert err == f"error: --max-order must be at least 1, got {value}\n"
 
 
+@pytest.mark.parametrize("p, why", [
+    ("318665857834031151167461", "a prime integer"),  # strong pseudoprime to 2..37
+    ("3317044064679887385961981", "below 3317044064679887385961981"),  # to 2..41
+])
+def test_suite_pseudoprime_field_exits_2(p, why, capsys):
+    code, out, err = run("suite", "--max-order", "2", "--field", f"Fp:{p}",
+                         capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: modulus must be {why}, got {p}\n"
+
+
 def test_suite_field_and_threads(capsys, monkeypatch):
     monkeypatch.setenv("BRACE_FORGE_THREADS", "2")
     code, out, _ = run("suite", "--max-order", "3", "--field", "Fp:5",

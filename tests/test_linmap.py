@@ -22,7 +22,9 @@ F7 = PrimeField(7)
 def test_prime_validation():
     for p in (2, 3, 5, 7, 31, 97, 2**61 - 1):
         assert PrimeField(p).p == p
-    for n in (-3, 0, 1, 4, 9, 15, 561, 1105, 2047, 3215031751):
+    # the last two are strong pseudoprimes to the bases 2..37 and 2..41
+    for n in (-3, 0, 1, 4, 9, 15, 561, 1105, 2047, 3215031751,
+              318665857834031151167461, 3317044064679887385961981):
         with pytest.raises(ValueError):
             PrimeField(n)
 

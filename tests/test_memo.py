@@ -1,11 +1,12 @@
 """The gate checkers' verdict caches and the shared interchange.
 
-check_hopf, check_hopf_brace, check_obt and check_mp_over_A keep their
-last MEMO_SIZE reports, keyed on the record itself, which compares and
-hashes by its structure maps and never by its meta.  A warm call
-must return what an uncached call returns, witnesses included; the key
-must tell apart maps that differ only in their field; a raising call
-stores nothing; and the cache stays within its bound.
+check_hopf, check_hopf_brace, check_obt, check_mp_over_A, the module
+axioms behind check_left_module and check_right_module, and
+is_cocommutative keep their last MEMO_SIZE verdicts, keyed on the record
+itself, which compares and hashes by its structure maps and never by its
+meta.  A warm call must return what an uncached call returns, witnesses
+included; the key must tell apart maps that differ only in their field; a
+raising call stores nothing; and the cache stays within its bound.
 """
 import dataclasses
 import sys
@@ -18,8 +19,10 @@ from braceforge import (BraceForgeError, LinMap, NotDiagonal, PrereqFailed,
                         PrimeField, QQ, Space, check_hopf, check_hopf_brace,
                         check_mp_over_A, check_obt, cyclic,
                         enumerate_skew_braces, functor_F, functor_Q,
-                        group_algebra, groups_of_order, linearize,
-                        parse_field)
+                        group_algebra, groups_of_order, is_cocommutative,
+                        linearize, parse_field)
+from braceforge.actions import _check_module
+from braceforge.cli import _suite_brace_checks
 from braceforge.linmap import interchange
 from braceforge.report import MEMO_SIZE, memoize
 
@@ -28,7 +31,7 @@ from mutants import (broken_antipode, broken_brace, broken_matched_pair,
 
 F5 = PrimeField(5)
 MEMOIZED = (check_hopf, check_hopf_brace, check_obt, check_mp_over_A,
-            interchange)
+            _check_module, is_cocommutative, interchange)
 
 
 def _clear():
@@ -151,6 +154,22 @@ def test_fields_never_share_an_entry():
     assert interchange(QQ, Space(2), Space(2)) is interchange(QQ, Space(2), Space(2))
     assert interchange(QQ, Space(2), Space(2)) != interchange(F5, Space(2), Space(2))
     assert interchange.cache_info().currsize == 2
+
+
+def test_suite_row_verifies_each_module_structure_once():
+    """From cold caches, an order-6 row over Q computes the module axioms
+    twice: a left and a right record never compare equal, so that is once
+    per side.  Its Hopf algebras, first and second, are each checked and
+    tested for cocommutativity once."""
+    rows = [linearize(s, QQ) for g in groups_of_order(6)
+            for s in enumerate_skew_braces(g)]
+    assert len(rows) == 10
+    for b in rows:
+        _clear()
+        _suite_brace_checks(b)
+        assert _check_module.cache_info().misses == 2
+        assert is_cocommutative.cache_info().misses <= 2
+        assert check_hopf.cache_info().misses <= 2
 
 
 def test_cache_holds_at_most_its_bound():
