@@ -40,5 +40,6 @@ from .skewbraces import (CayleyTable, SkewBraceData, builtin_group,
                          group_tables, groups_of_order, klein_4, linearize,
                          quaternion_8, symmetric_3)
 from .storage import dumps, kind_of, load, loads, save, to_document
+from .suite import row_verdicts
 
 __version__ = "0.1.0"

@@ -15,21 +15,19 @@ import sys
 from pathlib import Path
 
 from . import storage
-from .actions import LeftModuleData, check_module_algebra
-from .brace import (HopfBraceData, check_brace_identities, check_hopf_brace,
-                    trivial_brace)
+from .brace import check_hopf_brace, trivial_brace
 from .errors import (BraceForgeError, NotAGroup, NotCocommutative, NotDiagonal,
                      OrderTooLarge, PrereqFailed, StorageError, _AxiomsFailed)
 from .hopf import check_hopf, group_algebra
 from .linmap import parse_field
-from .matched import (check_matched_pair, check_mp_over_A, functor_F, functor_G,
+from .matched import (check_matched_pair, functor_F, functor_G,
                       obt_from_matched_pair, roundtrip_FG, roundtrip_GF)
-from .obt import (build_deformed_hopf, check_lemma_mu_recovery, check_obt,
-                  functor_P, functor_Q, mu_tilde, roundtrip_PQ, roundtrip_QP)
+from .obt import check_obt, functor_P, functor_Q, roundtrip_PQ, roundtrip_QP
 from .report import AxiomReport
 from .skewbraces import (ENUMERATION_ORDER_BOUND, SkewBraceData, builtin_group,
                          builtin_order, check_group, check_skew_brace,
                          enumerate_skew_braces, groups_of_order, linearize)
+from .suite import row_verdicts
 
 _CHECKERS = {
     "hopf": check_hopf,
@@ -160,37 +158,9 @@ def _cmd_linearize(args) -> int:
 # ---------------------------------------------------------------------------
 # suite
 
-def _suite_brace_checks(b: HopfBraceData) -> list[tuple[str, bool]]:
-    """Every corpus-level verdict for one linearized brace."""
-    out = []
-    out.append(("brace", check_hopf_brace(b).ok))
-    out.append(("identities", check_brace_identities(b).ok))
-    m = functor_F(b)
-    mp = check_mp_over_A(m)
-    # axiom (i) of F(b): gamma and phi are module coalgebras over b's coalgebra
-    mod = LeftModuleData(hopf=m.second, carrier=b.space, action=m.left_action)
-    mods_ok = (all(e.passed for e in mp.entries if e.name.startswith("i."))
-               and check_module_algebra(mod, b.first().algebra).ok)
-    out.append(("modules", mods_ok))
-    t = functor_Q(b)
-    out.append(("obt", check_obt(t).ok))
-    out.append(("lemma", check_lemma_mu_recovery(t).ok))
-    out.append(("deformed_hopf", check_hopf(build_deformed_hopf(t)).ok))
-    out.append(("deformed_product", mu_tilde(t) == b.product1))
-    out.append(("roundtrip_PQ", roundtrip_PQ(b).ok))
-    out.append(("roundtrip_QP", roundtrip_QP(t).ok))
-    out.append(("matched_pair", mp.ok))
-    out.append(("roundtrip_FG", roundtrip_FG(m).ok))
-    out.append(("roundtrip_GF", roundtrip_GF(b).ok))
-    direct = obt_from_matched_pair(m)
-    via_g = functor_Q(functor_G(m))
-    out.append(("obt_from_mp", direct == via_g))
-    return out
-
-
 def _suite_job(job) -> tuple[str, list[tuple[str, bool]]]:
     label, brace, field_spec = job
-    checks = _suite_brace_checks(linearize(brace, parse_field(field_spec)))
+    checks = list(row_verdicts(linearize(brace, parse_field(field_spec))))
     return (label, checks)
 
 

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from braceforge import (enumerate_skew_braces, groups_of_order, linearize,
@@ -20,3 +22,27 @@ def corpus():
                     b = linearize(s, parse_field(spec))
                     items.append((f"{g.label}#{i}:{spec}", s, b))
     return items
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(*functions) wraps each function wherever the braceforge
+    package binds it, so calls from inside the package count too, and
+    returns the call counts by function name, updated as calls happen."""
+    def install(*functions):
+        counts = dict.fromkeys((fn.__name__ for fn in functions), 0)
+        originals = {id(fn) for fn in functions}
+
+        def counting(fn):
+            def wrapper(*args, **kwargs):
+                counts[fn.__name__] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name, mod in list(sys.modules.items()):
+            if name == "braceforge" or name.startswith("braceforge."):
+                for attr, value in list(vars(mod).items()):
+                    if id(value) in originals:
+                        monkeypatch.setattr(mod, attr, counting(value))
+        return counts
+    return install

@@ -1,19 +1,30 @@
-"""Corpus-level agreement: Q against Fp:5, and one order-8 brace per stratum.
+"""Corpus-level agreement: Q against Fp:5, the suite row against its
+reference, and one order-8 brace per stratum.
 
 Every structure constant of a linearized skew brace is an integer, and so
 is every constant of its images under P, Q, F and G.  Reducing the Q maps
 mod 5 must therefore give exactly the Fp:5 maps, and the suite verdicts
 must not depend on the field.
 """
-from braceforge import (HopfBraceData, LinMap, MatchedPairData,
-                        OppBraceTripleData, PrimeField, enumerate_skew_braces,
-                        functor_F, functor_G, functor_P, functor_Q,
-                        groups_of_order, linearize)
+import dataclasses
+
+from braceforge import (HopfBraceData, LeftModuleData, LinMap,
+                        MatchedPairData, OppBraceTripleData, PrimeField,
+                        build_deformed_hopf, check_brace_identities,
+                        check_hopf, check_hopf_brace, check_lemma_mu_recovery,
+                        check_module_algebra, check_mp_over_A, check_obt,
+                        enumerate_skew_braces, functor_F, functor_G, functor_P,
+                        functor_Q, groups_of_order, linearize, mu_tilde,
+                        obt_from_matched_pair, roundtrip_FG, roundtrip_GF,
+                        roundtrip_PQ, roundtrip_QP)
 from braceforge.brace import BRACE_MAPS
-from braceforge.cli import _suite_brace_checks
 from braceforge.hopf import HOPF_MAPS
+from braceforge.linmap import componentwise
 from braceforge.matched import MP_EXTRA_MAPS
 from braceforge.obt import OBT_EXTRA_MAPS
+from braceforge.suite import row_verdicts
+
+from mutants import reentry
 
 F5 = PrimeField(5)
 
@@ -60,9 +71,111 @@ def test_q_reduced_mod_5_is_fp5(corpus):
             assert got.keys() == expected.keys()
             for name, m in got.items():
                 assert _mod5(m) == expected[name], (row, image, name)
-        verdicts = _suite_brace_checks(bq)
+        verdicts = list(row_verdicts(bq))
         assert len(verdicts) == 13
-        assert verdicts == _suite_brace_checks(bf), row
+        assert verdicts == list(row_verdicts(bf)), row
+
+
+def _suite_brace_checks(b: HopfBraceData) -> list[tuple[str, bool]]:
+    """The reference row: each verdict from the function that checks it,
+    every image rebuilt where it is needed and every roundtrip read from
+    its componentwise report."""
+    out = []
+    out.append(("brace", check_hopf_brace(b).ok))
+    out.append(("identities", check_brace_identities(b).ok))
+    m = functor_F(b)
+    mp = check_mp_over_A(m)
+    mod = LeftModuleData(hopf=m.second, carrier=b.space, action=m.left_action)
+    mods_ok = (all(e.passed for e in mp.entries if e.name.startswith("i."))
+               and check_module_algebra(mod, b.first().algebra).ok)
+    out.append(("modules", mods_ok))
+    t = functor_Q(b)
+    out.append(("obt", check_obt(t).ok))
+    out.append(("lemma", check_lemma_mu_recovery(t).ok))
+    out.append(("deformed_hopf", check_hopf(build_deformed_hopf(t)).ok))
+    out.append(("deformed_product", mu_tilde(t) == b.product1))
+    out.append(("roundtrip_PQ", roundtrip_PQ(b).ok))
+    out.append(("roundtrip_QP", roundtrip_QP(t).ok))
+    out.append(("matched_pair", mp.ok))
+    out.append(("roundtrip_FG", roundtrip_FG(m).ok))
+    out.append(("roundtrip_GF", roundtrip_GF(b).ok))
+    direct = obt_from_matched_pair(m)
+    via_g = functor_Q(functor_G(m))
+    out.append(("obt_from_mp", direct == via_g))
+    return out
+
+
+def test_row_verdicts_match_the_reference_row(corpus):
+    assert len(corpus) == 40  # order <= 6 over Q and Fp:5
+    for label, _, b in corpus:
+        assert list(row_verdicts(b)) == _suite_brace_checks(b), label
+
+
+def _with_part(x, part, inner):
+    """x with its part replaced by inner (x is inner when part is None).  A
+    diagonal matched pair's two Hopf components are one record, so
+    replacing "first" replaces both."""
+    if part is None:
+        return inner
+    if part == "first":
+        return dataclasses.replace(x, first=inner, second=inner)
+    return dataclasses.replace(x, **{part: inner})
+
+
+def _variants(x, parts):
+    """x, then for each (part, names) in parts: the part with other meta,
+    and each named map of the part with its first nonzero constant doubled
+    or deleted."""
+    out = [x]
+    for part, names in parts:
+        inner = x if part is None else getattr(x, part)
+        out.append(_with_part(x, part, dataclasses.replace(
+            inner, meta={"label": "renamed"})))
+        for name in names:
+            m = getattr(inner, name)
+            key, v = min(m.items())
+            for value in (m.field.add(v, v), 0):
+                out.append(_with_part(x, part, dataclasses.replace(
+                    inner, **{name: reentry(m, {key: value})})))
+    return out
+
+
+def test_roundtrip_record_equality_is_the_componentwise_report(corpus):
+    """The suite reads each roundtrip as rebuilt == original.  Against the
+    original, its meta variants and its one-constant mutants, that must
+    agree with the componentwise report the roundtrip functions give."""
+    def brace_ok(x, y):
+        return componentwise(x, y, BRACE_MAPS).ok
+
+    def obt_ok(x, y):
+        return (componentwise(x.hopf, y.hopf, HOPF_MAPS).ok
+                and componentwise(x, y, OBT_EXTRA_MAPS).ok)
+
+    def mp_ok(x, y):
+        return (componentwise(x.first, y.first, HOPF_MAPS).ok
+                and componentwise(x, y, MP_EXTRA_MAPS).ok)
+
+    brace_parts = ((None, BRACE_MAPS),)
+    seen = set()
+    for label, s, b in corpus:
+        if s.order not in (4, 6):
+            continue
+        t, m = functor_Q(b), functor_F(b)
+        cases = (
+            ("PQ", functor_P(t), b, brace_parts, brace_ok),
+            ("QP", functor_Q(functor_P(t)), t,
+             (("hopf", HOPF_MAPS), (None, OBT_EXTRA_MAPS)), obt_ok),
+            ("FG", functor_F(functor_G(m)), m,
+             (("first", HOPF_MAPS), (None, MP_EXTRA_MAPS)), mp_ok),
+            ("GF", functor_G(m), b, brace_parts, brace_ok),
+        )
+        for which, rebuilt, original, parts, report_ok in cases:
+            for y in _variants(original, parts):
+                same = rebuilt == y
+                assert same == report_ok(rebuilt, y), (label, which)
+                seen.add((which, same))
+    assert seen == {(which, same) for which in ("PQ", "QP", "FG", "GF")
+                    for same in (True, False)}
 
 
 def _element_orders(g) -> tuple[int, ...]:
@@ -85,6 +198,6 @@ def test_order_8_corpus_one_brace_per_stratum():
             strata.setdefault((g.label, _element_orders(s.circ)), s)
     assert len(strata) == 22
     for key, s in strata.items():
-        verdicts = _suite_brace_checks(linearize(s, F5))
+        verdicts = list(row_verdicts(linearize(s, F5)))
         assert len(verdicts) == 13
         assert [name for name, ok in verdicts if not ok] == [], key

@@ -1,5 +1,4 @@
 import dataclasses
-import sys
 
 import pytest
 
@@ -14,10 +13,10 @@ from braceforge import (LeftModuleData, LinMap, MatchedPairData, QQ,
                         linearize, obt_from_matched_pair, phi, psi,
                         roundtrip_FG, roundtrip_GF, roundtrip_PQ, roundtrip_QP,
                         symmetric_3, tensor, trivial_brace)
-from braceforge.cli import _suite_brace_checks
 from braceforge.errors import (MpAxiomsFailed, NotCocommutative, NotDiagonal,
                                PrereqFailed)
 from braceforge.linmap import interchange
+from braceforge.suite import row_verdicts
 
 from mutants import (broken_matched_pair, dual_group_hopf,
                      trivial_left_action, trivial_right_action)
@@ -217,30 +216,16 @@ def test_axiom_i_is_the_four_module_checks(corpus):
     assert seen == {True, False}
 
 
-def test_suite_row_checks_each_module_coalgebra_once(corpus, monkeypatch):
-    """Wrap both module-coalgebra checkers wherever the package binds them."""
-    sides = {id(check_module_coalgebra): "left",
-             id(check_right_module_coalgebra): "right"}
-    calls = dict.fromkeys(sides.values(), 0)
-
-    def counting(fn):
-        def wrapper(*args):
-            calls[sides[id(fn)]] += 1
-            return fn(*args)
-        return wrapper
-
-    for name, mod in list(sys.modules.items()):
-        if name == "braceforge" or name.startswith("braceforge."):
-            for attr, value in list(vars(mod).items()):
-                if id(value) in sides:
-                    monkeypatch.setattr(mod, attr, counting(value))
+def test_suite_row_checks_each_module_coalgebra_once(corpus, count_calls):
+    calls = count_calls(check_module_coalgebra, check_right_module_coalgebra)
     rows = [b for _, s, b in corpus if s.order <= 4]
     for b in rows:
         for fn in (check_hopf, check_hopf_brace, check_obt, check_mp_over_A,
                    interchange):
             fn.cache_clear()
-        _suite_brace_checks(b)
-    assert calls == {"left": len(rows), "right": len(rows)}
+        list(row_verdicts(b))
+    assert calls == {"check_module_coalgebra": len(rows),
+                     "check_right_module_coalgebra": len(rows)}
 
 
 # -- morphisms ------------------------------------------------------------

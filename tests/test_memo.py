@@ -18,13 +18,14 @@ import braceforge
 from braceforge import (BraceForgeError, LinMap, NotDiagonal, PrereqFailed,
                         PrimeField, QQ, Space, check_hopf, check_hopf_brace,
                         check_mp_over_A, check_obt, cyclic,
-                        enumerate_skew_braces, functor_F, functor_Q,
-                        group_algebra, groups_of_order, is_cocommutative,
-                        linearize, parse_field)
+                        enumerate_skew_braces, functor_F, functor_G,
+                        functor_P, functor_Q, gamma, group_algebra,
+                        groups_of_order, is_cocommutative, linearize,
+                        mu_tilde, parse_field)
 from braceforge.actions import _check_module
-from braceforge.cli import _suite_brace_checks
 from braceforge.linmap import interchange
 from braceforge.report import MEMO_SIZE, memoize
+from braceforge.suite import row_verdicts
 
 from mutants import (broken_antipode, broken_brace, broken_matched_pair,
                      broken_obt, reentry)
@@ -166,10 +167,29 @@ def test_suite_row_verifies_each_module_structure_once():
     assert len(rows) == 10
     for b in rows:
         _clear()
-        _suite_brace_checks(b)
+        list(row_verdicts(b))
         assert _check_module.cache_info().misses == 2
         assert is_cocommutative.cache_info().misses <= 2
         assert check_hopf.cache_info().misses <= 2
+
+
+def test_suite_row_builds_each_image_once(count_calls):
+    """From cold caches, an order-6 row over Q builds F(b), Q(b), P(Q(b))
+    and G(F(b)) once each.  The other F and Q calls are the roundtrips'
+    images of a rebuilt brace: F(G(F(b))), Q(P(Q(b))) and Q(G(F(b))).
+    mu_tilde runs for check_obt, the recovery lemma, P and G, and gamma
+    for check_hopf_brace, check_brace_identities, each F twice (phi builds
+    it again) and each Q once."""
+    calls = count_calls(functor_F, functor_G, functor_P, functor_Q, mu_tilde,
+                        gamma)
+    rows = [linearize(s, QQ) for g in groups_of_order(6)
+            for s in enumerate_skew_braces(g)]
+    for b in rows:
+        _clear()
+        calls.update(dict.fromkeys(calls, 0))
+        assert all(ok for _, ok in row_verdicts(b))
+        assert calls == {"functor_F": 2, "functor_G": 1, "functor_P": 1,
+                         "functor_Q": 3, "mu_tilde": 4, "gamma": 9}
 
 
 def test_cache_holds_at_most_its_bound():

@@ -3,7 +3,9 @@
 Removing or renaming one of those names breaks the benchmark, and
 selftest.py is too slow for tier-1, so the names are checked here.  A
 name can stay while a keyword or signature the benchmark passes changes,
-so run.py's battery and one mutant round also run here, on small inputs."""
+so run.py's battery and one mutant round also run here, on small inputs.
+The battery keeps its own copy of the suite row, so it is also held to
+braceforge.suite.row_verdicts here."""
 import importlib
 import importlib.util
 import inspect
@@ -16,7 +18,7 @@ import pytest
 
 import braceforge
 from braceforge import (enumerate_skew_braces, groups_of_order, linearize,
-                        parse_field)
+                        parse_field, row_verdicts)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -67,9 +69,11 @@ def test_benchmark_battery_runs_on_small_braces(run_py):
         for order in range(1, 4):
             for g in groups_of_order(order):
                 for s in enumerate_skew_braces(g):
-                    out = run_py.battery(braceforge, linearize(s, field))
+                    b = linearize(s, field)
+                    out = run_py.battery(braceforge, b)
                     assert tuple(name for name, _ in out) == run_py.BATTERY
                     assert all(ok for _, ok in out), (g.label, spec, out)
+                    assert out == list(row_verdicts(b)), (g.label, spec)
 
 
 def test_benchmark_mutant_round_runs(run_py):
