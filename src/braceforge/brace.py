@@ -86,9 +86,14 @@ def phi(b: HopfBraceData) -> LinMap:
     cocommutative braces:
     phi = product2 o ((antipode2 o gamma) (x) product2) o (id (x) swap (x) id) o (coproduct (x) coproduct)."""
     require_cocommutative(b.first(), "phi needs a cocommutative coproduct")
+    return _phi(b, gamma(b))
+
+
+def _phi(b: HopfBraceData, g: LinMap) -> LinMap:
+    """phi's formula on an already built g = gamma(b)."""
     return compose(
         b.product2,
-        tensor(compose(b.antipode2, gamma(b)), b.product2),
+        tensor(compose(b.antipode2, g), b.product2),
         interchange(b.field, b.space, b.space),
         tensor(b.coproduct, b.coproduct))
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from .actions import (LeftModuleData, RightModuleData, check_left_module,
                       check_module_coalgebra, check_right_module,
                       check_right_module_coalgebra)
-from .brace import BRACE_MAPS, HopfBraceData, gamma, phi, require_valid_brace
+from .brace import BRACE_MAPS, HopfBraceData, _phi, gamma, require_valid_brace
 from .errors import MpAxiomsFailed, NotDiagonal, PrereqFailed
 from .hopf import (HOPF_MAPS, HopfAlgebraData, _check_map,
                    check_hopf, check_hopf_morphism, require_cocommutative)
@@ -73,6 +73,11 @@ def check_matched_pair(m: MatchedPairData) -> AxiomReport:
     (v)   the right action distributes over the product through psi
     (vi)  psi braids the two actions
     """
+    return _check_matched_pair(m, psi(m))
+
+
+def _check_matched_pair(m: MatchedPairData, ps: LinMap) -> AxiomReport:
+    """check_matched_pair's body on an already built ps = psi(m)."""
     a, h, field = m.first, m.second, m.field
     for name, component in (("first", a), ("second", h)):
         check_hopf(component).require(
@@ -91,7 +96,6 @@ def check_matched_pair(m: MatchedPairData) -> AxiomReport:
     if right_rep.ok:
         right_entries += check_right_module_coalgebra(
             right, h.coalgebra).prefixed("i.right_module.")
-    ps = psi(m)
     return AxiomReport((
         *left_entries,
         *right_entries,
@@ -129,11 +133,12 @@ def check_mp_over_A(m: MatchedPairData) -> AxiomReport:
         raise NotDiagonal("both Hopf components must have equal structure constants")
     require_cocommutative(
         m.first, "diagonal matched pairs need a cocommutative coproduct")
-    base = check_matched_pair(m)
+    ps = psi(m)
+    base = _check_matched_pair(m, ps)
     interweaving = equation_entry(
         "interweaving_identity",
         m.first.product,
-        compose(m.first.product, psi(m)))
+        compose(m.first.product, ps))
     return AxiomReport((*base.entries, interweaving))
 
 
@@ -150,9 +155,9 @@ def functor_F(b: HopfBraceData) -> MatchedPairData:
     require_cocommutative(
         b.first(), "matched pair extraction needs cocommutativity")
     require_valid_brace(b)
-    h2 = b.second()
+    h2, g = b.second(), gamma(b)
     return MatchedPairData(
-        first=h2, second=h2, left_action=gamma(b), right_action=phi(b))
+        first=h2, second=h2, left_action=g, right_action=_phi(b, g))
 
 
 def functor_G(m: MatchedPairData) -> HopfBraceData:

@@ -247,9 +247,19 @@ def dumps(obj) -> str:
     return json.dumps(to_document(obj), sort_keys=True, indent=2) + "\n"
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object, which must name each key once."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ParseError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def loads(text: str):
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from None
     except (RecursionError, ValueError) as exc:  # too deep, or too many digits
@@ -270,6 +280,6 @@ def load(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     return loads(text)

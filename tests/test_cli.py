@@ -94,14 +94,18 @@ def test_check_every_kind_rejects_every_other_kind(tmp_path, capsys):
             assert err == f"error: {path} holds a {other} file, expected {kind}\n"
 
 
-@pytest.mark.parametrize("text", ["[" * 200000, "1" * 5000],
-                         ids=["deep_nesting", "long_integer"])
-def test_check_unparsable_json_exits_2(text, tmp_path, capsys):
+@pytest.mark.parametrize("data, error", [
+    (b"[" * 200000, "cannot parse: "),
+    (b"1" * 5000, "cannot parse: "),
+    (b'{"metadata": "caf\xe9"}', "cannot read {path}: 'utf-8' codec"),
+    (b'{"kind": "hopf", "kind": "group"}', "duplicate key 'kind'"),
+], ids=["deep_nesting", "long_integer", "not_utf8", "duplicate_key"])
+def test_check_unparsable_json_exits_2(data, error, tmp_path, capsys):
     path = tmp_path / "f.json"
-    path.write_text(text)
+    path.write_bytes(data)
     code, out, err = run("check", "hopf", str(path), capsys=capsys)
     assert (code, out) == (2, "")
-    assert err.startswith("error: cannot parse: ")
+    assert err.startswith("error: " + error.format(path=path))
     assert err.count("\n") == 1
 
 

@@ -7,9 +7,11 @@ mod 5 must therefore give exactly the Fp:5 maps, and the suite verdicts
 must not depend on the field.
 """
 import dataclasses
+import sys
 
-from braceforge import (HopfBraceData, LeftModuleData, LinMap,
-                        MatchedPairData, OppBraceTripleData, PrimeField,
+from braceforge import (BraceForgeError, HopfBraceData, LeftModuleData,
+                        LinMap, MatchedPairData, OppBraceTripleData,
+                        PrimeField, SkewBraceData,
                         build_deformed_hopf, check_brace_identities,
                         check_hopf, check_hopf_brace, check_lemma_mu_recovery,
                         check_module_algebra, check_mp_over_A, check_obt,
@@ -25,6 +27,8 @@ from braceforge.obt import OBT_EXTRA_MAPS
 from braceforge.suite import row_verdicts
 
 from mutants import reentry
+from test_groups import _relabel
+from test_memo import _doubled
 
 F5 = PrimeField(5)
 
@@ -109,6 +113,59 @@ def test_row_verdicts_match_the_reference_row(corpus):
     assert len(corpus) == 40  # order <= 6 over Q and Fp:5
     for label, _, b in corpus:
         assert list(row_verdicts(b)) == _suite_brace_checks(b), label
+
+
+def _outcome(row, b):
+    """row(b) as a list of verdicts, or the class and message of the error
+    it raised."""
+    try:
+        return list(row(b))
+    except BraceForgeError as exc:
+        return (type(exc), str(exc))
+
+
+def test_row_fallbacks_agree_with_the_reference_row(corpus, monkeypatch):
+    """On valid input P(Q(b)) == b and G(F(b)) == b, so the row never reads
+    Q(P(Q(b))), F(G(F(b))) or Q(G(F(b))).  With P or G replaced, in the row
+    and in the reference row alike, by a one-constant mutant of its image
+    (not a brace) or by a relabeled brace, the row must still give what the
+    reference row gives: the same verdicts, or the same error."""
+    real_P, real_G = functor_P, functor_G
+
+    def mutant_P(t):  # product1 stays: the reference reads mu_tilde(t)
+        p = real_P(t)
+        return dataclasses.replace(p, product2=_doubled(p.product2))
+
+    def mutant_G(m):  # not cocommutative: F and Q raise different errors
+        g = real_G(m)
+        return dataclasses.replace(
+            g, coproduct=reentry(g.coproduct, {(1, 0): g.field.one()}))
+
+    package = [mod for name, mod in sys.modules.items()
+               if name == "braceforge" or name.startswith("braceforge.")]
+    seen = set()
+    for label, s, b in corpus:
+        if s.order not in (4, 6):
+            continue
+        shift = [(a + 1) % s.order for a in range(s.order)]
+        rotated = linearize(SkewBraceData(
+            _relabel(s.dot, shift), _relabel(s.circ, shift)), b.field)
+        assert rotated != b
+        for real, fake in ((real_P, mutant_P), (real_G, mutant_G),
+                           (real_G, lambda m: rotated)):
+            with monkeypatch.context() as patch:
+                for mod in (*package, sys.modules[__name__]):
+                    for attr, value in list(vars(mod).items()):
+                        if value is real:
+                            patch.setattr(mod, attr, fake)
+                got = _outcome(row_verdicts, b)
+                assert got == _outcome(_suite_brace_checks, b), (label, fake)
+            if isinstance(got, list):
+                assert [n for n, ok in got if not ok] == [
+                    "roundtrip_FG", "roundtrip_GF", "obt_from_mp"], label
+            seen.add((real.__name__, isinstance(got, tuple)))
+    assert seen == {("functor_P", True), ("functor_G", True),
+                    ("functor_G", False)}
 
 
 def _with_part(x, part, inner):

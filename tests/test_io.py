@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import typing
 
 import pytest
@@ -269,6 +270,16 @@ def test_parse_error_on_malformed_json(tmp_path):
             loads(text)
     with pytest.raises(ParseError):
         load(tmp_path / "missing.json")
+    # a repeated key, at the top or nested, is named instead of the last
+    # value silently winning
+    for text, key in (('{"kind": "hopf", "kind": "group"}', "kind"),
+                      ('{"maps": {"unit": [], "unit": []}}', "unit")):
+        with pytest.raises(ParseError, match=f"^duplicate key '{key}'$"):
+            loads(text)
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"metadata": "caf\u00e9"}'.encode("latin-1"))
+    with pytest.raises(ParseError, match=f"^cannot read {re.escape(str(path))}: 'utf-8' codec"):
+        load(path)
 
 
 def test_loaded_objects_still_pass_checks(tmp_path):

@@ -21,7 +21,7 @@ from braceforge import (BraceForgeError, LinMap, NotDiagonal, PrereqFailed,
                         enumerate_skew_braces, functor_F, functor_G,
                         functor_P, functor_Q, gamma, group_algebra,
                         groups_of_order, is_cocommutative, linearize,
-                        mu_tilde, parse_field)
+                        mu_tilde, parse_field, psi)
 from braceforge.actions import _check_module
 from braceforge.linmap import interchange
 from braceforge.report import MEMO_SIZE, memoize
@@ -174,22 +174,46 @@ def test_suite_row_verifies_each_module_structure_once():
 
 
 def test_suite_row_builds_each_image_once(count_calls):
-    """From cold caches, an order-6 row over Q builds F(b), Q(b), P(Q(b))
-    and G(F(b)) once each.  The other F and Q calls are the roundtrips'
-    images of a rebuilt brace: F(G(F(b))), Q(P(Q(b))) and Q(G(F(b))).
-    mu_tilde runs for check_obt, the recovery lemma, P and G, and gamma
-    for check_hopf_brace, check_brace_identities, each F twice (phi builds
-    it again) and each Q once."""
+    """From cold caches, an order-6 row over Q or Fp:5 builds F(b), Q(b),
+    P(Q(b)) and G(F(b)) once each, and no other F or Q: a passing row has
+    P(Q(b)) == b and G(F(b)) == b, so its QP, FG and obt_from_mp verdicts
+    reuse Q(b) and F(b).  mu_tilde runs for check_obt, the recovery lemma,
+    P and G; gamma for check_hopf_brace, check_brace_identities, F and Q;
+    psi once, inside check_mp_over_A."""
     calls = count_calls(functor_F, functor_G, functor_P, functor_Q, mu_tilde,
-                        gamma)
-    rows = [linearize(s, QQ) for g in groups_of_order(6)
-            for s in enumerate_skew_braces(g)]
+                        gamma, psi)
+    rows = [linearize(s, field) for field in (QQ, F5)
+            for g in groups_of_order(6) for s in enumerate_skew_braces(g)]
+    assert len(rows) == 20
     for b in rows:
         _clear()
         calls.update(dict.fromkeys(calls, 0))
         assert all(ok for _, ok in row_verdicts(b))
-        assert calls == {"functor_F": 2, "functor_G": 1, "functor_P": 1,
-                         "functor_Q": 3, "mu_tilde": 4, "gamma": 9}
+        assert calls == {"functor_F": 1, "functor_G": 1, "functor_P": 1,
+                         "functor_Q": 1, "mu_tilde": 4, "gamma": 4, "psi": 1}
+
+
+def test_each_call_builds_its_shared_map_once(count_calls):
+    """functor_F(b) builds gamma(b) once for both of its actions, and
+    check_mp_over_A(m) builds psi(m) once for the six axioms and the
+    interweaving identity, on every order <= 4 brace over Q and Fp:5.
+    From cold caches, F's gate check_hopf_brace builds one more gamma; the
+    first call warms it."""
+    braces = [linearize(s, parse_field(spec)) for spec in ("Q", "Fp:5")
+              for order in range(1, 5) for g in groups_of_order(order)
+              for s in enumerate_skew_braces(g)]
+    assert len(braces) == 18
+    calls = count_calls(gamma, psi)
+    for b in braces:
+        _clear()
+        calls.update(dict.fromkeys(calls, 0))
+        m = functor_F(b)
+        assert calls == {"gamma": 2, "psi": 0}
+        assert functor_F(b) == m  # its gate now served from cache
+        assert calls == {"gamma": 3, "psi": 0}
+        _clear()
+        assert check_mp_over_A(m).ok
+        assert calls == {"gamma": 3, "psi": 1}
 
 
 def test_cache_holds_at_most_its_bound():
