@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from .errors import DimensionMismatch, PrereqFailed
 from .hopf import AlgebraData, CoalgebraData, HopfAlgebraData, _check_map, check_hopf
 from .linmap import (LinMap, Space, braiding, compose, equation_entry,
-                     interchange, tensor)
+                     legwise, tensor)
 from .report import AxiomReport, memoize
 
 
@@ -75,12 +75,8 @@ def check_right_module(m: RightModuleData) -> AxiomReport:
 
 
 def _tensor_square_action(m: _ModuleData) -> LinMap:
-    h, field = m.hopf, m.hopf.field
-    id_square = LinMap.identity(field, m.carrier.tensor(m.carrier))
-    return compose(
-        tensor(m.action, m.action),
-        interchange(field, *m._legs(h.space, m.carrier)),
-        tensor(*m._legs(h.coproduct, id_square)))
+    id_square = LinMap.identity(m.hopf.field, m.carrier.tensor(m.carrier))
+    return legwise(m.action, m.action, *m._legs(m.hopf.coproduct, id_square))
 
 
 def left_tensor_square_action(m: LeftModuleData) -> LinMap:
@@ -119,10 +115,8 @@ def _check_module_coalgebra(m: _ModuleData, coa: CoalgebraData) -> AxiomReport:
     coproduct_after = compose(coa.coproduct, m.action)
     via_square = compose(_tensor_square_action(m),
                          tensor(*m._legs(id_h, coa.coproduct)))
-    via_morphism = compose(
-        tensor(m.action, m.action),
-        interchange(field, *m._legs(h.space, m.carrier)),
-        tensor(*m._legs(h.coproduct, coa.coproduct)))
+    via_morphism = legwise(m.action, m.action,
+                           *m._legs(h.coproduct, coa.coproduct))
     return AxiomReport((
         equation_entry(
             "carrier_counit",

@@ -13,7 +13,7 @@ from .errors import BraceAxiomsFailed, PrereqFailed
 from .hopf import (HopfAlgebraData, _check_maps, check_hopf,
                    check_hopf_morphism, deform, require_cocommutative)
 from .linmap import (LinMap, Space, braiding, compose, equation_entry,
-                     interchange, tensor)
+                     legwise, tensor)
 from .report import AxiomReport, memoize
 
 
@@ -73,11 +73,8 @@ def check_hopf_brace(b: HopfBraceData) -> AxiomReport:
     field, space = b.field, b.space
     id_h = LinMap.identity(field, space)
     lhs = compose(b.product2, tensor(id_h, b.product1))
-    rhs = compose(
-        b.product1,
-        tensor(b.product2, gamma(b)),
-        interchange(field, space, space),
-        tensor(b.coproduct, id_h, id_h))
+    rhs = compose(b.product1, legwise(b.product2, gamma(b), b.coproduct,
+                                      LinMap.identity(field, space.tensor(space))))
     return AxiomReport((*first, *second, equation_entry("compatibility", lhs, rhs)))
 
 
@@ -93,9 +90,7 @@ def _phi(b: HopfBraceData, g: LinMap) -> LinMap:
     """phi's formula on an already built g = gamma(b)."""
     return compose(
         b.product2,
-        tensor(compose(b.antipode2, g), b.product2),
-        interchange(b.field, b.space, b.space),
-        tensor(b.coproduct, b.coproduct))
+        legwise(compose(b.antipode2, g), b.product2, b.coproduct, b.coproduct))
 
 
 def check_brace_identities(b: HopfBraceData) -> AxiomReport:

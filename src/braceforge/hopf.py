@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .errors import DimensionMismatch, FieldMismatch, NotAGroup, NotCocommutative, PrereqFailed
 from .linmap import (LinMap, Space, braiding, compose, equation_entry,
-                     interchange, tensor)
+                     legwise, tensor)
 from .report import AxiomReport, memoize
 from .skewbraces import CayleyTable, check_group
 
@@ -191,9 +191,7 @@ def check_hopf(h: HopfAlgebraData) -> AxiomReport:
         equation_entry(
             "bialgebra.product.coproduct",
             compose(h.coproduct, h.product),
-            compose(tensor(h.product, h.product),
-                    interchange(field, space, space),
-                    tensor(h.coproduct, h.coproduct))),
+            legwise(h.product, h.product, h.coproduct, h.coproduct)),
         equation_entry(
             "antipode.left",
             convolve(h.antipode, ident, coalg, alg), neutral),

@@ -14,10 +14,10 @@ of A (x) B is ordered with the left factor major,
 The braiding c_{A,B} : A (x) B -> B (x) A maps e_i (x) e_j to e_j (x) e_i.
 It is kept an explicit map in every formula (never inlined as an index
 shuffle), so a different braiding can be swapped in at this one point.
-interchange(field, A, B) = id_A (x) c_{A,B} (x) id_B is the one place that
-pads a braiding with identities on both sides: every formula that swaps
-the two middle legs of a fourfold tensor goes through it.  It is built
-once per field and pair of dimensions and shared by every caller.
+legwise(f, g, c1, c2) is the one place where two maps meet the legs of
+two coproducts: f takes the first leg of each, g the second, through
+interchange(field, A, B) = id_A (x) c_{A,B} (x) id_B, the memoized
+padding of the braiding that only legwise uses.
 
 Matrices are semantically dense; internally a LinMap is stored column
 major, as {col: {row: value}} holding only the nonzero entries of only the
@@ -37,6 +37,7 @@ LinMap hashes once and can key a cache.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -510,6 +511,22 @@ def interchange(field: Field, a: Space, b: Space) -> LinMap:
     e_i (x) e_j (x) e_k (x) e_l -> e_i (x) e_k (x) e_j (x) e_l."""
     return tensor(LinMap.identity(field, a), braiding(field, a, b),
                   LinMap.identity(field, b))
+
+
+def _leg(c: LinMap, name: str) -> Space:
+    """A, for c : X -> A (x) A."""
+    n = c.codomain.dim
+    if math.isqrt(n) ** 2 != n:
+        raise DimensionMismatch(f"legwise: {name} lands in dimension {n}, not a square")
+    return Space(math.isqrt(n))
+
+
+def legwise(f: LinMap, g: LinMap, c1: LinMap, c2: LinMap) -> LinMap:
+    """(f (x) g) o interchange o (c1 (x) c2), for c1 : X -> A (x) A and
+    c2 : Y -> B (x) B: x (x) y -> sum f(x_1 (x) y_1) (x) g(x_2 (x) y_2).
+    For coproducts, interchange o (c1 (x) c2) is the coproduct of X (x) Y."""
+    legs = _leg(c1, "c1"), _leg(c2, "c2")
+    return compose(tensor(f, g), interchange(c1.field, *legs), tensor(c1, c2))
 
 
 def first_difference(f: LinMap, g: LinMap) -> dict | None:

@@ -18,7 +18,7 @@ from .errors import MpAxiomsFailed, NotDiagonal, PrereqFailed
 from .hopf import (HOPF_MAPS, HopfAlgebraData, _check_map,
                    check_hopf, check_hopf_morphism, require_cocommutative)
 from .linmap import (LinMap, braiding, componentwise, compose, equation_entry,
-                     interchange, tensor)
+                     legwise, tensor)
 from .obt import OppBraceTripleData, _deformation_brace
 from .report import AxiomReport, memoize
 
@@ -55,12 +55,10 @@ class MatchedPairData:
 
 
 def psi(m: MatchedPairData) -> LinMap:
-    """The interweaving map second (x) first -> first (x) second."""
-    a, h = m.first, m.second
-    return compose(
-        tensor(m.left_action, m.right_action),
-        interchange(m.field, h.space, a.space),
-        tensor(h.coproduct, a.coproduct))
+    """The interweaving map second (x) first -> first (x) second,
+    psi(h (x) a) = (h_1 |> a_1) (x) (h_2 <| a_2), |> = left_action, <| = right_action."""
+    return legwise(m.left_action, m.right_action,
+                   m.second.coproduct, m.first.coproduct)
 
 
 def check_matched_pair(m: MatchedPairData) -> AxiomReport:
@@ -118,9 +116,7 @@ def _check_matched_pair(m: MatchedPairData, ps: LinMap) -> AxiomReport:
         equation_entry(
             "vi",
             compose(braiding(field, a.space, h.space), ps),
-            compose(tensor(m.right_action, m.left_action),
-                    interchange(field, h.space, a.space),
-                    tensor(h.coproduct, a.coproduct))),
+            legwise(m.right_action, m.left_action, h.coproduct, a.coproduct)),
     ))
 
 

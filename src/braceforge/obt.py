@@ -20,7 +20,7 @@ from .hopf import (HOPF_MAPS, HopfAlgebraData, _check_maps,
                    check_hopf, check_hopf_morphism, deform,
                    require_cocommutative)
 from .linmap import (LinMap, braiding, componentwise, compose, equation_entry,
-                     interchange, tensor)
+                     legwise, tensor)
 from .report import AxiomReport, memoize
 
 # The structure maps a triple adds to its Hopf algebra.
@@ -75,8 +75,7 @@ def check_obt(t: OppBraceTripleData) -> AxiomReport:
         coalg = equation_entry(
             "i",
             compose(h.coproduct, m),
-            compose(tensor(m, m), interchange(field, space, space),
-                    tensor(h.coproduct, h.coproduct)))
+            legwise(m, m, h.coproduct, h.coproduct))
     inv = equation_entry(
         "vi", compose(h.counit, u), h.counit)
     if inv.passed:
@@ -96,8 +95,8 @@ def check_obt(t: OppBraceTripleData) -> AxiomReport:
         equation_entry(
             "v",
             compose(m, tensor(id_a, mt)),
-            compose(mt, tensor(m, m), interchange(field, space, space),
-                    tensor(h.coproduct, id_a, id_a))),
+            compose(mt, legwise(m, m, h.coproduct,
+                                LinMap.identity(field, space.tensor(space))))),
         inv,
         equation_entry("vii", compose(u, u), id_a),
         equation_entry(

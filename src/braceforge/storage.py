@@ -121,9 +121,9 @@ def _get_identity(doc: dict, n: int) -> int:
 
 
 def _get_meta(doc: dict) -> dict | None:
-    meta = doc.get("metadata")
-    if meta is None:
+    if "metadata" not in doc:
         return None
+    meta = doc["metadata"]
     if not isinstance(meta, dict):
         raise SchemaError("metadata must be an object")
     return meta
@@ -219,7 +219,7 @@ def to_document(obj) -> dict:
     kind = kind_of(obj)
     doc: dict[str, Any] = {"format": FORMAT, "kind": kind}
     meta = getattr(obj, "meta", None)
-    if meta:
+    if meta is not None:
         doc["metadata"] = meta
 
     if kind == "group":

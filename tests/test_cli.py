@@ -16,7 +16,7 @@ from braceforge import (CayleyTable, HopfAlgebraData, LinMap,
                         group_algebra, linearize, load, save, symmetric_3,
                         trivial_brace)
 from braceforge.cli import _CONSTRUCTIONS, main
-from braceforge.storage import KINDS
+from braceforge.storage import KINDS, to_document
 
 from mutants import dual_group_hopf, trivial_left_action
 
@@ -107,6 +107,16 @@ def test_check_unparsable_json_exits_2(data, error, tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err.startswith("error: " + error.format(path=path))
     assert err.count("\n") == 1
+
+
+def test_check_null_metadata_exits_2(tmp_path, capsys):
+    doc = to_document(symmetric_3())
+    doc["metadata"] = None
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run("check", "group", str(path), capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: metadata must be an object\n"
 
 
 def test_check_missing_file_exits_2(files, capsys):

@@ -130,6 +130,22 @@ def test_metadata_preserved_verbatim(tmp_path):
     assert back.meta == {"label": "Z2", "note": ["x", 1]}
 
 
+def test_empty_metadata_round_trips_byte_identically():
+    doc = to_document(symmetric_3())
+    doc["metadata"] = {}
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    back = loads(text)
+    assert back.meta == {}
+    assert dumps(back) == text
+
+
+def test_null_metadata_is_rejected():
+    doc = hopf_doc()
+    doc["metadata"] = None
+    with pytest.raises(SchemaError, match="^metadata must be an object$"):
+        loads(json.dumps(doc))
+
+
 def test_matched_pair_document_keys():
     s = enumerate_skew_braces(cyclic(4))[1]
     m = functor_F(linearize(s, QQ))

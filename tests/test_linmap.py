@@ -1,3 +1,4 @@
+import itertools
 import pickle
 import random
 from fractions import Fraction
@@ -10,7 +11,7 @@ from braceforge import (LinMap, PrimeField, QQ, Space, braiding, compose,
                         cyclic, equal, first_difference, group_algebra,
                         parse_field, tensor)
 from braceforge.errors import DimensionMismatch, FieldMismatch
-from braceforge.linmap import equation_entry, interchange
+from braceforge.linmap import equation_entry, interchange, legwise
 from braceforge.report import CheckEntry
 
 F5 = PrimeField(5)
@@ -360,6 +361,43 @@ def test_interchange_index_oracle():
         x = interchange(field, Space(na), Space(nb))
         assert x.shape() == (na * nb * na * nb, na * na * nb * nb)
         assert x == LinMap(field, x.domain, x.codomain, expected)
+
+
+def test_legwise_matches_the_sum_over_legs():
+    # x (x) y -> sum c1[i (x) j, x] c2[k (x) l, y] f(e_i (x) e_k) (x) g(e_j (x) e_l)
+    rng = random.Random(20261019)
+    na, nb, nx, ny, nf, ng = 2, 3, 2, 3, 2, 3
+    for field in (QQ, F5):
+        def dense(rows, cols):
+            return LinMap.from_rows(field, [
+                [field.coerce(Fraction(rng.randrange(-4, 5), rng.randrange(1, 4)))
+                 if field is QQ else rng.randrange(5) for _ in range(cols)]
+                for _ in range(rows)])
+        f, g = dense(nf, na * nb), dense(ng, na * nb)
+        c1, c2 = dense(na * na, nx), dense(nb * nb, ny)
+        expected = {}
+        for x, y, i, j, k, ell, p, r in itertools.product(
+                range(nx), range(ny), range(na), range(na), range(nb), range(nb),
+                range(nf), range(ng)):
+            key = (p * ng + r, x * ny + y)
+            expected[key] = expected.get(key, 0) + (
+                c1.entry(i * na + j, x) * c2.entry(k * nb + ell, y)
+                * f.entry(p, i * nb + k) * g.entry(r, j * nb + ell))
+        got = legwise(f, g, c1, c2)
+        assert got.shape() == (nf * ng, nx * ny)
+        assert got.support_size() > 0
+        assert got == LinMap(field, got.domain, got.codomain,
+                             {key: field.normalize(v) for key, v in expected.items()})
+
+
+def test_legwise_names_a_map_whose_codomain_is_not_a_square():
+    sq = LinMap.identity(QQ, Space(4))
+    odd = LinMap.identity(QQ, Space(6))
+    f = LinMap.identity(QQ, Space(12))
+    with pytest.raises(DimensionMismatch, match="^legwise: c1 lands in dimension 6, not a square$"):
+        legwise(f, f, odd, sq)
+    with pytest.raises(DimensionMismatch, match="^legwise: c2 lands in dimension 6, not a square$"):
+        legwise(f, f, sq, odd)
 
 
 def test_first_difference_frozen_witness():
