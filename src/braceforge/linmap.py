@@ -17,7 +17,8 @@ shuffle), so a different braiding can be swapped in at this one point.
 legwise(f, g, c1, c2) is the one place where two maps meet the legs of
 two coproducts: f takes the first leg of each, g the second, through
 interchange(field, A, B) = id_A (x) c_{A,B} (x) id_B, the memoized
-padding of the braiding that only legwise uses.
+padding of the braiding that only legwise uses.  legwise reads the
+braiding from interchange's columns, so it too stays an explicit map.
 
 Matrices are semantically dense; internally a LinMap is stored column
 major, as {col: {row: value}} holding only the nonzero entries of only the
@@ -30,10 +31,13 @@ So maps share columns freely: compose hands on column k of its left
 operand wherever the right operand sends a basis vector to e_k with
 coefficient 1 (as the permutation-like structure maps of the corpus do),
 and tensor builds the shifted copy of the right factor's columns once per
-entry of the left factor.  Products are summed with plain + and *, and
-each output entry is brought into the field's canonical form once, by
-field.normalize.  All values are immutable after construction, so a
-LinMap hashes once and can key a cache.
+entry of the left factor.  legwise builds its result one output column at
+a time, from the columns of c1, c2, interchange, f and g that the column
+reaches; it never builds f (x) g, c1 (x) c2 or a composite of them, whose
+dimension is the fourth power of the carrier's.  Products are summed with
+plain + and *, and each output entry is brought into the field's
+canonical form once, by field.normalize.  All values are immutable after
+construction, so a LinMap hashes once and can key a cache.
 """
 from __future__ import annotations
 
@@ -524,9 +528,54 @@ def _leg(c: LinMap, name: str) -> Space:
 def legwise(f: LinMap, g: LinMap, c1: LinMap, c2: LinMap) -> LinMap:
     """(f (x) g) o interchange o (c1 (x) c2), for c1 : X -> A (x) A and
     c2 : Y -> B (x) B: x (x) y -> sum f(x_1 (x) y_1) (x) g(x_2 (x) y_2).
-    For coproducts, interchange o (c1 (x) c2) is the coproduct of X (x) Y."""
-    legs = _leg(c1, "c1"), _leg(c2, "c2")
-    return compose(tensor(f, g), interchange(c1.field, *legs), tensor(c1, c2))
+    For coproducts, interchange o (c1 (x) c2) is the coproduct of X (x) Y.
+
+    Column x (x) y of the result is the sum, over the entries c1[p, x] of
+    column x and c2[q, y] of column y and the entries X[r, p B^2 + q] of
+    X = interchange, of c1[p, x] c2[q, y] X[r, p B^2 + q] times
+    f(e_{r div AB}) (x) g(e_{r mod AB}).  Only the columns of f and g so
+    reached are read.
+    """
+    a, b = _leg(c1, "c1"), _leg(c2, "c2")
+    field = _require_same_field(f, g, c1, c2)
+    ab = a.dim * b.dim
+    for m, name in ((f, "f"), (g, "g")):
+        if m.domain.dim != ab:
+            raise DimensionMismatch(f"legwise: {name} takes dimension "
+                                    f"{m.domain.dim}, not {a.dim}·{b.dim} = {ab}")
+    xcols = interchange(field, a, b)._cols
+    fcols, gcols = f._cols, g._cols
+    gdim, bb, ny = g.codomain.dim, b.dim * b.dim, c2.domain.dim
+    norm = field.normalize
+    c2cols = [(y, tuple(col.items())) for y, col in c2._cols.items()]
+    cols = {}
+    for x, c1col in c1._cols.items():
+        for y, c2col in c2cols:
+            acc = {}
+            for p, v1 in c1col.items():
+                for q, v2 in c2col:
+                    for r, vx in xcols.get(p * bb + q, _NO_COLUMN).items():
+                        fcol = fcols.get(r // ab)
+                        gcol = gcols.get(r % ab)
+                        if fcol is None or gcol is None:
+                            continue
+                        w = v1 * v2 * vx
+                        for i, vf in fcol.items():
+                            wf, base = w * vf, i * gdim
+                            for j, vg in gcol.items():
+                                k = base + j
+                                if k in acc:
+                                    acc[k] += wf * vg
+                                else:
+                                    acc[k] = wf * vg
+            col = {}
+            for k, v in acc.items():
+                v = norm(v)
+                if v:
+                    col[k] = v
+            if col:
+                cols[x * ny + y] = col
+    return _raw(field, c1.domain.tensor(c2.domain), f.codomain.tensor(g.codomain), cols)
 
 
 def first_difference(f: LinMap, g: LinMap) -> dict | None:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from braceforge import (LinMap, PrimeField, QQ, Space, braiding, compose,
                         cyclic, equal, first_difference, group_algebra,
-                        parse_field, tensor)
+                        groups_of_order, parse_field, tensor)
 from braceforge.errors import DimensionMismatch, FieldMismatch
 from braceforge.linmap import equation_entry, interchange, legwise
 from braceforge.report import CheckEntry
@@ -398,6 +399,97 @@ def test_legwise_names_a_map_whose_codomain_is_not_a_square():
         legwise(f, f, odd, sq)
     with pytest.raises(DimensionMismatch, match="^legwise: c2 lands in dimension 6, not a square$"):
         legwise(f, f, sq, odd)
+
+
+def test_legwise_names_a_map_that_does_not_take_both_legs():
+    c1 = LinMap.identity(QQ, Space(4))  # A = 2
+    c2 = LinMap.identity(QQ, Space(9))  # B = 3
+    six, five = LinMap.identity(QQ, Space(6)), LinMap.identity(QQ, Space(5))
+    with pytest.raises(DimensionMismatch, match="^legwise: f takes dimension 5, not 2·3 = 6$"):
+        legwise(five, six, c1, c2)
+    with pytest.raises(DimensionMismatch, match="^legwise: g takes dimension 5, not 2·3 = 6$"):
+        legwise(six, five, c1, c2)
+    for maps in ((six, six, c1, LinMap.identity(F5, Space(9))),
+                 (LinMap.identity(F5, Space(6)), six, c1, c2)):
+        with pytest.raises(FieldMismatch):
+            legwise(*maps)
+
+
+def _sparse_map(rng, field, dom, cod, density):
+    """A random dom -> cod map, most of it zero; over Q its entries are
+    Fractions, over F_p residues."""
+    entries = {}
+    for i in range(cod):
+        for j in range(dom):
+            if rng.random() < density:
+                v = Fraction(rng.randrange(-3, 4), rng.randrange(1, 4))
+                entries[(i, j)] = v if field is QQ else v.numerator
+    return LinMap(field, Space(dom), Space(cod), entries)
+
+
+def _assert_canonical(m):
+    # the stored form that _raw expects: no empty column, no zero entry, and
+    # each value already what the field's normalize makes of it
+    for col in m._cols.values():
+        assert col
+        for v in col.values():
+            assert v != 0
+            assert type(m.field.normalize(v)) is type(v) and m.field.normalize(v) == v
+
+
+def _unfused(f, g, c1, c2):
+    a, b = (Space(math.isqrt(c.codomain.dim)) for c in (c1, c2))
+    return compose(tensor(f, g), interchange(f.field, a, b), tensor(c1, c2))
+
+
+def test_legwise_equals_the_unfused_formula():
+    """legwise against (f (x) g) o interchange o (c1 (x) c2), built the long
+    way, over Q and F_5: sparse maps with empty columns, c2 the identity of
+    a square, and sums that cancel to a zero entry and to a zero column."""
+    rng = random.Random(1919)
+    empty_columns = 0
+    for field in (QQ, F5):
+        for _ in range(40):
+            na, nb, nx, ny, nf, ng = (rng.randint(1, 3) for _ in range(6))
+            density = rng.choice((0.15, 0.4, 0.8))
+            f = _sparse_map(rng, field, na * nb, nf, density)
+            g = _sparse_map(rng, field, na * nb, ng, density)
+            c1 = _sparse_map(rng, field, nx, na * na, density)
+            c2 = (LinMap.identity(field, Space(nb * nb)) if rng.random() < 0.3
+                  else _sparse_map(rng, field, ny, nb * nb, density))
+            empty_columns += sum(len(m._cols) < m.domain.dim for m in (f, g, c1, c2))
+            got, want = legwise(f, g, c1, c2), _unfused(f, g, c1, c2)
+            assert got == want and hash(got) == hash(want)
+            _assert_canonical(got)
+        # A = 2, B = 1, so column x of the result is the sum over p = 2i + j
+        # of c1[p, x] f(e_i) (x) g(e_j).  Columns 0 and 1 of f are both u.
+        # c1 sends e_0 to e_0 (x) e_0 - e_1 (x) e_0, whose image u (x) g(e_0)
+        # - u (x) g(e_0) is 0, and e_1 to e_0 (x) e_0 - e_0 (x) e_1, whose
+        # image u (x) (g(e_0) - g(e_1)) = -u (x) e_1 keeps rows 1 and 3 only.
+        half = field.coerce(Fraction(1, 2)) if field is QQ else field.inv(2)
+        c1 = LinMap(field, Space(2), Space(4), {(0, 0): 1, (2, 0): -1, (0, 1): 1, (1, 1): -1})
+        c2 = LinMap.identity(field, Space(1))
+        f = LinMap(field, Space(2), Space(2), {(0, 0): half, (0, 1): half, (1, 0): 3, (1, 1): 3})
+        g = LinMap(field, Space(2), Space(2), {(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 2})
+        got, want = legwise(f, g, c1, c2), _unfused(f, g, c1, c2)
+        assert got == want and hash(got) == hash(want)
+        _assert_canonical(got)
+        assert set(got._cols) == {1} and set(got._cols[1]) == {1, 3}
+    assert empty_columns > 20
+
+
+def test_legwise_builds_no_kronecker_product(count_calls):
+    # One order-8 legwise reads 64 columns of f (x) g; building it would
+    # take 4096.  Only the memoized interchange may call tensor, once.
+    h = group_algebra(groups_of_order(8)[3], F5)
+    interchange.cache_clear()
+    counts = count_calls(tensor, compose)
+    first = legwise(h.product, h.product, h.coproduct, h.coproduct)
+    assert counts == {"tensor": 1, "compose": 0}
+    assert interchange.cache_info()[:2] == (0, 1)  # hits, misses
+    assert legwise(h.product, h.product, h.coproduct, h.coproduct) == first
+    assert counts == {"tensor": 1, "compose": 0}
+    assert interchange.cache_info()[:2] == (1, 1)
 
 
 def test_first_difference_frozen_witness():
