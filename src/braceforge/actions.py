@@ -107,13 +107,15 @@ def check_module_algebra(m: LeftModuleData, alg: AlgebraData) -> AxiomReport:
     ))
 
 
-def _check_module_coalgebra(m: _ModuleData, coa: CoalgebraData) -> AxiomReport:
+def _check_module_coalgebra(m: _ModuleData, coa: CoalgebraData,
+                            square_action) -> AxiomReport:
+    # square_action: the side's public builder, so tracers count its calls
     _check_module(m).require(
         PrereqFailed, f"module-coalgebra check is gated on check_{m._side}_module")
     h, field = m.hopf, m.hopf.field
     id_h = LinMap.identity(field, h.space)
     coproduct_after = compose(coa.coproduct, m.action)
-    via_square = compose(_tensor_square_action(m),
+    via_square = compose(square_action(m),
                          tensor(*m._legs(id_h, coa.coproduct)))
     via_morphism = legwise(m.action, m.action,
                            *m._legs(h.coproduct, coa.coproduct))
@@ -136,14 +138,15 @@ def check_module_coalgebra(m: LeftModuleData, coa: CoalgebraData) -> AxiomReport
     the two routes agreed.  The morphism's counit half is carrier_counit
     again, which this left check reports a second time as morphism_counit.
     """
-    counit, coproduct, *rest = _check_module_coalgebra(m, coa).entries
+    counit, coproduct, *rest = _check_module_coalgebra(
+        m, coa, left_tensor_square_action).entries
     return AxiomReport(
         (counit, coproduct, replace(counit, name="morphism_counit"), *rest))
 
 
 def check_right_module_coalgebra(m: RightModuleData, coa: CoalgebraData) -> AxiomReport:
     """Right-handed mirror of check_module_coalgebra, without morphism_counit."""
-    return _check_module_coalgebra(m, coa)
+    return _check_module_coalgebra(m, coa, right_tensor_square_action)
 
 
 def adjoint_action(h: HopfAlgebraData) -> LeftModuleData:

@@ -13,12 +13,12 @@ of A (x) B is ordered with the left factor major,
 
 The braiding c_{A,B} : A (x) B -> B (x) A maps e_i (x) e_j to e_j (x) e_i.
 It is kept an explicit map in every formula (never inlined as an index
-shuffle), so a different braiding can be swapped in at this one point.
+shuffle), so a different braiding can be swapped in at this one point;
+braiding is memoized, so every formula shares one swap per pair of spaces.
 legwise(f, g, c1, c2) is the one place where two maps meet the legs of
-two coproducts: f takes the first leg of each, g the second, through
-interchange(field, A, B) = id_A (x) c_{A,B} (x) id_B, the memoized
-padding of the braiding that only legwise uses.  legwise reads the
-braiding from interchange's columns, so it too stays an explicit map.
+two coproducts: f takes the first leg of each, g the second, and the
+middle legs pass through c_{A,B}.  legwise reads the columns of
+braiding(field, A, B) for that, so it too keeps the braiding explicit.
 
 Matrices are semantically dense; internally a LinMap is stored column
 major, as {col: {row: value}} holding only the nonzero entries of only the
@@ -32,9 +32,9 @@ operand wherever the right operand sends a basis vector to e_k with
 coefficient 1 (as the permutation-like structure maps of the corpus do),
 and tensor builds the shifted copy of the right factor's columns once per
 entry of the left factor.  legwise builds its result one output column at
-a time, from the columns of c1, c2, interchange, f and g that the column
-reaches; it never builds f (x) g, c1 (x) c2 or a composite of them, whose
-dimension is the fourth power of the carrier's.  Products are summed with
+a time, from the columns of c1, c2, the braiding, f and g that the column
+reaches; it never builds f (x) g, c1 (x) c2, id (x) c (x) id or a composite
+of them, whose dimension is the fourth power of the carrier's.  Products are summed with
 plain + and *, and each output entry is brought into the field's
 canonical form once, by field.normalize.  All values are immutable after
 construction, so a LinMap hashes once and can key a cache.
@@ -499,6 +499,7 @@ def _blocks(gitems: list, offset: int, scale, norm) -> list[dict]:
     return out
 
 
+@memoize
 def braiding(field: Field, a: Space, b: Space) -> LinMap:
     """The symmetric swap c_{A,B} : A (x) B -> B (x) A, e_i (x) e_j -> e_j (x) e_i."""
     one = field.one()
@@ -507,14 +508,6 @@ def braiding(field: Field, a: Space, b: Space) -> LinMap:
         for j in range(b.dim):
             entries[(j * a.dim + i, i * b.dim + j)] = one
     return LinMap(field, a.tensor(b), b.tensor(a), entries)
-
-
-@memoize
-def interchange(field: Field, a: Space, b: Space) -> LinMap:
-    """id_A (x) c_{A,B} (x) id_B : A (x) A (x) B (x) B -> A (x) B (x) A (x) B,
-    e_i (x) e_j (x) e_k (x) e_l -> e_i (x) e_k (x) e_j (x) e_l."""
-    return tensor(LinMap.identity(field, a), braiding(field, a, b),
-                  LinMap.identity(field, b))
 
 
 def _leg(c: LinMap, name: str) -> Space:
@@ -526,26 +519,27 @@ def _leg(c: LinMap, name: str) -> Space:
 
 
 def legwise(f: LinMap, g: LinMap, c1: LinMap, c2: LinMap) -> LinMap:
-    """(f (x) g) o interchange o (c1 (x) c2), for c1 : X -> A (x) A and
-    c2 : Y -> B (x) B: x (x) y -> sum f(x_1 (x) y_1) (x) g(x_2 (x) y_2).
-    For coproducts, interchange o (c1 (x) c2) is the coproduct of X (x) Y.
+    """(f (x) g) o (id_A (x) c_{A,B} (x) id_B) o (c1 (x) c2), for
+    c1 : X -> A (x) A and c2 : Y -> B (x) B:
+    x (x) y -> sum f(x_1 (x) y_1) (x) g(x_2 (x) y_2).  For coproducts,
+    (id_A (x) c_{A,B} (x) id_B) o (c1 (x) c2) is the coproduct of X (x) Y.
 
-    Column x (x) y of the result is the sum, over the entries c1[p, x] of
-    column x and c2[q, y] of column y and the entries X[r, p B^2 + q] of
-    X = interchange, of c1[p, x] c2[q, y] X[r, p B^2 + q] times
-    f(e_{r div AB}) (x) g(e_{r mod AB}).  Only the columns of f and g so
-    reached are read.
+    Column x (x) y of the result is the sum, over the entries c1[iA + j, x]
+    of column x and c2[kB + l, y] of column y and the entries c[s, jB + k]
+    of c = c_{A,B}, of their product times f(e_{iB + s div A}) (x)
+    g(e_{(s mod A)B + l}).  Only the columns of f and g so reached are read.
     """
     a, b = _leg(c1, "c1"), _leg(c2, "c2")
     field = _require_same_field(f, g, c1, c2)
-    ab = a.dim * b.dim
+    na, nb = a.dim, b.dim
+    ab = na * nb
     for m, name in ((f, "f"), (g, "g")):
         if m.domain.dim != ab:
             raise DimensionMismatch(f"legwise: {name} takes dimension "
-                                    f"{m.domain.dim}, not {a.dim}·{b.dim} = {ab}")
-    xcols = interchange(field, a, b)._cols
+                                    f"{m.domain.dim}, not {na}·{nb} = {ab}")
+    ccols = braiding(field, a, b)._cols
     fcols, gcols = f._cols, g._cols
-    gdim, bb, ny = g.codomain.dim, b.dim * b.dim, c2.domain.dim
+    gdim, ny = g.codomain.dim, c2.domain.dim
     norm = field.normalize
     c2cols = [(y, tuple(col.items())) for y, col in c2._cols.items()]
     cols = {}
@@ -553,13 +547,14 @@ def legwise(f: LinMap, g: LinMap, c1: LinMap, c2: LinMap) -> LinMap:
         for y, c2col in c2cols:
             acc = {}
             for p, v1 in c1col.items():
+                ib, jb = p // na * nb, p % na * nb
                 for q, v2 in c2col:
-                    for r, vx in xcols.get(p * bb + q, _NO_COLUMN).items():
-                        fcol = fcols.get(r // ab)
-                        gcol = gcols.get(r % ab)
+                    for s, vc in ccols.get(jb + q // nb, _NO_COLUMN).items():
+                        fcol = fcols.get(ib + s // na)
+                        gcol = gcols.get(s % na * nb + q % nb)
                         if fcol is None or gcol is None:
                             continue
-                        w = v1 * v2 * vx
+                        w = v1 * v2 * vc
                         for i, vf in fcol.items():
                             wf, base = w * vf, i * gdim
                             for j, vg in gcol.items():

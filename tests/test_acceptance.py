@@ -253,3 +253,12 @@ def test_criterion_11_io_closure_and_full_suite(tmp_path, corpus):
     lines = proc.stdout.strip().splitlines()
     assert lines[-1] == "suite: 28/28 pass (max order 6, field Q)"
     assert all(line.startswith("PASS") for line in lines[:-1])
+
+
+def test_readme_quick_start_runs():
+    # the README's Quick start block, run as written, so it cannot drift
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert block.count("assert ") == 4
+    exec(compile(block, "README.md", "exec"), {})

@@ -19,6 +19,7 @@ from braceforge import (BraceForgeError, HopfBraceData, LeftModuleData,
                         functor_Q, groups_of_order, linearize, mu_tilde,
                         obt_from_matched_pair, roundtrip_FG, roundtrip_GF,
                         roundtrip_PQ, roundtrip_QP)
+from braceforge import linmap
 from braceforge.brace import BRACE_MAPS
 from braceforge.hopf import HOPF_MAPS
 from braceforge.linmap import componentwise
@@ -258,3 +259,32 @@ def test_order_8_corpus_one_brace_per_stratum():
         verdicts = list(row_verdicts(linearize(s, F5)))
         assert len(verdicts) == 13
         assert [name for name, ok in verdicts if not ok] == [], key
+
+
+def test_order_8_row_builds_no_map_on_the_fourth_tensor_power(monkeypatch):
+    # Every map a row needs lives on at most three tensor factors of the
+    # carrier: legwise reads the braiding instead of padding it to H^(x)4.
+    # From cold caches, so that no memoized map built earlier hides one.
+    for name, mod in list(sys.modules.items()):
+        if name == "braceforge" or name.startswith("braceforge."):
+            for value in vars(mod).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+    widest = []
+    raw, init = linmap._raw, LinMap.__init__
+
+    def counting_raw(field, domain, codomain, cols):
+        widest.append(max(domain.dim, codomain.dim))
+        return raw(field, domain, codomain, cols)
+
+    def counting_init(self, field, domain, codomain, entries):
+        widest.append(max(domain.dim, codomain.dim))
+        init(self, field, domain, codomain, entries)
+
+    monkeypatch.setattr(linmap, "_raw", counting_raw)
+    monkeypatch.setattr(LinMap, "__init__", counting_init)
+    s = enumerate_skew_braces(groups_of_order(8)[3])[-1]
+    assert s.circ != s.dot
+    b = linearize(s, F5)
+    assert [name for name, ok in row_verdicts(b) if not ok] == []
+    assert len(widest) > 100 and max(widest) <= 8 ** 3

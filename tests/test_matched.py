@@ -10,12 +10,13 @@ from braceforge import (LeftModuleData, LinMap, MatchedPairData, QQ,
                         check_right_module, check_right_module_coalgebra,
                         compose, cyclic, enumerate_skew_braces,
                         functor_F, functor_G, functor_Q, gamma, group_algebra,
-                        linearize, obt_from_matched_pair, phi, psi,
-                        roundtrip_FG, roundtrip_GF, roundtrip_PQ, roundtrip_QP,
+                        left_tensor_square_action, linearize,
+                        obt_from_matched_pair, phi, psi,
+                        right_tensor_square_action, roundtrip_FG,
+                        roundtrip_GF, roundtrip_PQ, roundtrip_QP,
                         symmetric_3, tensor, trivial_brace)
 from braceforge.errors import (MpAxiomsFailed, NotCocommutative, NotDiagonal,
                                PrereqFailed)
-from braceforge.linmap import interchange
 from braceforge.suite import row_verdicts
 
 from mutants import (broken_matched_pair, dual_group_hopf,
@@ -217,15 +218,21 @@ def test_axiom_i_is_the_four_module_checks(corpus):
 
 
 def test_suite_row_checks_each_module_coalgebra_once(corpus, count_calls):
-    calls = count_calls(check_module_coalgebra, check_right_module_coalgebra)
+    # The left action on b (x) b serves check_module_algebra and
+    # check_module_coalgebra, the right one check_right_module_coalgebra;
+    # each is built by its side's public function, so a tracer counts it.
+    calls = count_calls(check_module_coalgebra, check_right_module_coalgebra,
+                        left_tensor_square_action, right_tensor_square_action)
     rows = [b for _, s, b in corpus if s.order <= 4]
     for b in rows:
         for fn in (check_hopf, check_hopf_brace, check_obt, check_mp_over_A,
-                   interchange):
+                   braiding):
             fn.cache_clear()
         list(row_verdicts(b))
     assert calls == {"check_module_coalgebra": len(rows),
-                     "check_right_module_coalgebra": len(rows)}
+                     "check_right_module_coalgebra": len(rows),
+                     "left_tensor_square_action": 2 * len(rows),
+                     "right_tensor_square_action": len(rows)}
 
 
 # -- morphisms ------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The gate checkers' verdict caches and the shared interchange.
+"""The gate checkers' verdict caches and the shared braiding.
 
 check_hopf, check_hopf_brace, check_obt, check_mp_over_A, the module
 axioms behind check_left_module and check_right_module, and
@@ -23,7 +23,7 @@ from braceforge import (BraceForgeError, LinMap, NotDiagonal, PrereqFailed,
                         groups_of_order, is_cocommutative, linearize,
                         mu_tilde, parse_field, psi)
 from braceforge.actions import _check_module
-from braceforge.linmap import interchange
+from braceforge.linmap import braiding
 from braceforge.report import MEMO_SIZE, memoize
 from braceforge.suite import row_verdicts
 
@@ -32,7 +32,7 @@ from mutants import (broken_antipode, broken_brace, broken_matched_pair,
 
 F5 = PrimeField(5)
 MEMOIZED = (check_hopf, check_hopf_brace, check_obt, check_mp_over_A,
-            _check_module, is_cocommutative, interchange)
+            _check_module, is_cocommutative, braiding)
 
 
 def _clear():
@@ -152,9 +152,9 @@ def test_fields_never_share_an_entry():
     q, f = (rep.entry("antipode.left").witness for rep in reps)
     assert (q["left"], f["left"]) == ("-1", "4")
     assert check_hopf.cache_info().currsize == 2
-    assert interchange(QQ, Space(2), Space(2)) is interchange(QQ, Space(2), Space(2))
-    assert interchange(QQ, Space(2), Space(2)) != interchange(F5, Space(2), Space(2))
-    assert interchange.cache_info().currsize == 2
+    assert braiding(QQ, Space(2), Space(2)) is braiding(QQ, Space(2), Space(2))
+    assert braiding(QQ, Space(2), Space(2)) != braiding(F5, Space(2), Space(2))
+    assert braiding.cache_info().currsize == 2
 
 
 def test_suite_row_verifies_each_module_structure_once():
