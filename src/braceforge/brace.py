@@ -55,6 +55,7 @@ class HopfBraceData:
                                self.coproduct, self.antipode2)
 
 
+@memoize
 def gamma(b: HopfBraceData) -> LinMap:
     """Canonical left action of the second structure on the first:
     gamma = product1 o (antipode1 (x) product2) o (coproduct (x) id)."""
@@ -83,14 +84,10 @@ def phi(b: HopfBraceData) -> LinMap:
     cocommutative braces:
     phi = product2 o ((antipode2 o gamma) (x) product2) o (id (x) swap (x) id) o (coproduct (x) coproduct)."""
     require_cocommutative(b.first(), "phi needs a cocommutative coproduct")
-    return _phi(b, gamma(b))
-
-
-def _phi(b: HopfBraceData, g: LinMap) -> LinMap:
-    """phi's formula on an already built g = gamma(b)."""
     return compose(
         b.product2,
-        legwise(compose(b.antipode2, g), b.product2, b.coproduct, b.coproduct))
+        legwise(compose(b.antipode2, gamma(b)), b.product2,
+                b.coproduct, b.coproduct))
 
 
 def check_brace_identities(b: HopfBraceData) -> AxiomReport:

@@ -265,7 +265,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:  # the rest of the buffer goes to devnull, quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code, prefix, error = 2, "error", "standard output is closed"
     except (_AxiomsFailed, NotAGroup) as exc:
         code, prefix, error = 1, "error", exc
     except (NotCocommutative, NotDiagonal, PrereqFailed, OrderTooLarge) as exc:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from .actions import (LeftModuleData, RightModuleData, check_left_module,
                       check_module_coalgebra, check_right_module,
                       check_right_module_coalgebra)
-from .brace import BRACE_MAPS, HopfBraceData, _phi, gamma, require_valid_brace
+from .brace import BRACE_MAPS, HopfBraceData, gamma, phi, require_valid_brace
 from .errors import MpAxiomsFailed, NotDiagonal, PrereqFailed
 from .hopf import (HOPF_MAPS, HopfAlgebraData, _check_map,
                    check_hopf, check_hopf_morphism, require_cocommutative)
@@ -54,6 +54,7 @@ class MatchedPairData:
         return self.first.field
 
 
+@memoize
 def psi(m: MatchedPairData) -> LinMap:
     """The interweaving map second (x) first -> first (x) second,
     psi(h (x) a) = (h_1 |> a_1) (x) (h_2 <| a_2), |> = left_action, <| = right_action."""
@@ -71,12 +72,7 @@ def check_matched_pair(m: MatchedPairData) -> AxiomReport:
     (v)   the right action distributes over the product through psi
     (vi)  psi braids the two actions
     """
-    return _check_matched_pair(m, psi(m))
-
-
-def _check_matched_pair(m: MatchedPairData, ps: LinMap) -> AxiomReport:
-    """check_matched_pair's body on an already built ps = psi(m)."""
-    a, h, field = m.first, m.second, m.field
+    a, h, field, ps = m.first, m.second, m.field, psi(m)
     for name, component in (("first", a), ("second", h)):
         check_hopf(component).require(
             PrereqFailed, f"{name} component fails the Hopf axioms")
@@ -129,12 +125,11 @@ def check_mp_over_A(m: MatchedPairData) -> AxiomReport:
         raise NotDiagonal("both Hopf components must have equal structure constants")
     require_cocommutative(
         m.first, "diagonal matched pairs need a cocommutative coproduct")
-    ps = psi(m)
-    base = _check_matched_pair(m, ps)
+    base = check_matched_pair(m)
     interweaving = equation_entry(
         "interweaving_identity",
         m.first.product,
-        compose(m.first.product, ps))
+        compose(m.first.product, psi(m)))
     return AxiomReport((*base.entries, interweaving))
 
 
@@ -151,9 +146,9 @@ def functor_F(b: HopfBraceData) -> MatchedPairData:
     require_cocommutative(
         b.first(), "matched pair extraction needs cocommutativity")
     require_valid_brace(b)
-    h2, g = b.second(), gamma(b)
+    h2 = b.second()
     return MatchedPairData(
-        first=h2, second=h2, left_action=g, right_action=_phi(b, g))
+        first=h2, second=h2, left_action=gamma(b), right_action=phi(b))
 
 
 def functor_G(m: MatchedPairData) -> HopfBraceData:

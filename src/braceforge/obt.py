@@ -42,6 +42,7 @@ class OppBraceTripleData:
         return self.hopf.field
 
 
+@memoize
 def mu_tilde(t: OppBraceTripleData) -> LinMap:
     """The deformed product."""
     return deform(t.hopf.product, t.hopf.coproduct, t.action)

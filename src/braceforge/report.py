@@ -9,11 +9,11 @@ checker's verdict embeds its entries under a name prefix (``prefixed``); a
 construction gated on a verdict calls ``require``, which raises with the
 report attached.
 
-Since nothing in a report can change, the gate checkers hand one report to
-every caller: ``memoize`` keeps the last MEMO_SIZE results per function,
-keyed on the argument records themselves.  A record compares and hashes by
-its structure maps (or tables), never by its ``meta``, so equal structures
-share one verdict whatever their labels.
+Since nothing in a report or a LinMap can change, the gate checkers hand
+one report, and gamma, psi, mu_tilde and braiding one map, to every caller:
+``memoize`` keeps the last MEMO_SIZE results per function, keyed on the
+argument records themselves, which compare and hash by their structure maps
+(or tables), never by their ``meta``, so equal structures share one result.
 """
 from __future__ import annotations
 

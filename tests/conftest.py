@@ -1,3 +1,4 @@
+import functools
 import sys
 
 import pytest
@@ -24,6 +25,27 @@ def corpus():
     return items
 
 
+def package_bindings():
+    """(module, attribute name, value) for every name a braceforge module binds."""
+    for name, mod in list(sys.modules.items()):
+        if name == "braceforge" or name.startswith("braceforge."):
+            for attr, value in list(vars(mod).items()):
+                yield mod, attr, value
+
+
+def memoized_functions() -> dict:
+    """Every function the braceforge package binds that keeps a cache, by
+    name."""
+    return {value.__name__: value for _, _, value in package_bindings()
+            if callable(getattr(value, "cache_clear", None))}
+
+
+def clear_caches() -> None:
+    """Empty the cache of every memoized function in the package."""
+    for fn in memoized_functions().values():
+        fn.cache_clear()
+
+
 @pytest.fixture
 def count_calls(monkeypatch):
     """count_calls(*functions) wraps each function wherever the braceforge
@@ -34,15 +56,15 @@ def count_calls(monkeypatch):
         originals = {id(fn) for fn in functions}
 
         def counting(fn):
+            # wraps copies a memoized fn's cache_clear, so clear_caches still sees it
+            @functools.wraps(fn)
             def wrapper(*args, **kwargs):
                 counts[fn.__name__] += 1
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name, mod in list(sys.modules.items()):
-            if name == "braceforge" or name.startswith("braceforge."):
-                for attr, value in list(vars(mod).items()):
-                    if id(value) in originals:
-                        monkeypatch.setattr(mod, attr, counting(value))
+        for mod, attr, value in package_bindings():
+            if id(value) in originals:
+                monkeypatch.setattr(mod, attr, counting(value))
         return counts
     return install

@@ -467,13 +467,40 @@ def test_bad_usage_exits_2():
         main(["check", "ring", "x.json"])
 
 
-def test_console_script_runs():
+def _child_env():
     # the child imports the same braceforge as this process
     src = str(Path(braceforge.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_console_script_runs():
     proc = subprocess.run([sys.executable, "-m", "braceforge.cli", "suite",
                            "--max-order", "2"],
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+                          capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert "suite: 4/4 pass (max order 2, field Q)" in proc.stdout
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+@pytest.mark.parametrize("argv", [
+    ("check", "group", "{tmp}/s3.json"),
+    ("enumerate", "skew-braces", "--group", "builtin:D4", "-o", "{tmp}/d"),
+])
+def test_closed_stdout_exits_2_without_a_traceback(argv, unbuffered, files,
+                                                   tmp_path):
+    # stdout is a pipe whose read end closed before the child started, as
+    # under `| head -1` once head has exited; a buffered stdout fails only
+    # when it is flushed
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "braceforge.cli",
+             *(a.format(tmp=tmp_path) for a in argv)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env={**_child_env(), "PYTHONUNBUFFERED": unbuffered})
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: standard output is closed\n"

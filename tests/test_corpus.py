@@ -27,6 +27,7 @@ from braceforge.matched import MP_EXTRA_MAPS
 from braceforge.obt import OBT_EXTRA_MAPS
 from braceforge.suite import row_verdicts
 
+from conftest import clear_caches
 from mutants import reentry
 from test_groups import _relabel
 from test_memo import _doubled
@@ -265,11 +266,7 @@ def test_order_8_row_builds_no_map_on_the_fourth_tensor_power(monkeypatch):
     # Every map a row needs lives on at most three tensor factors of the
     # carrier: legwise reads the braiding instead of padding it to H^(x)4.
     # From cold caches, so that no memoized map built earlier hides one.
-    for name, mod in list(sys.modules.items()):
-        if name == "braceforge" or name.startswith("braceforge."):
-            for value in vars(mod).values():
-                if callable(getattr(value, "cache_clear", None)):
-                    value.cache_clear()
+    clear_caches()
     widest = []
     raw, init = linmap._raw, LinMap.__init__
 

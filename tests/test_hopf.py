@@ -255,7 +255,7 @@ def test_morphism_shape_guard():
         check_hopf_morphism(LinMap.identity(QQ, h.space), h, k)
 
 
-def test_make_hopf_field_mismatch():
+def test_hopf_record_rejects_a_map_over_another_field():
     h = group_algebra(cyclic(2), QQ)
     bad = LinMap.identity(F5, Space(2))
     with pytest.raises(FieldMismatch):

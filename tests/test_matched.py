@@ -19,6 +19,7 @@ from braceforge.errors import (MpAxiomsFailed, NotCocommutative, NotDiagonal,
                                PrereqFailed)
 from braceforge.suite import row_verdicts
 
+from conftest import clear_caches
 from mutants import (broken_matched_pair, dual_group_hopf,
                      trivial_left_action, trivial_right_action)
 from test_brace import set_gamma, set_phi, xor_brace
@@ -225,9 +226,7 @@ def test_suite_row_checks_each_module_coalgebra_once(corpus, count_calls):
                         left_tensor_square_action, right_tensor_square_action)
     rows = [b for _, s, b in corpus if s.order <= 4]
     for b in rows:
-        for fn in (check_hopf, check_hopf_brace, check_obt, check_mp_over_A,
-                   braiding):
-            fn.cache_clear()
+        clear_caches()
         list(row_verdicts(b))
     assert calls == {"check_module_coalgebra": len(rows),
                      "check_right_module_coalgebra": len(rows),

@@ -1,12 +1,15 @@
-"""The gate checkers' verdict caches and the shared braiding.
+"""The verdict caches and the cached derived maps.
 
 check_hopf, check_hopf_brace, check_obt, check_mp_over_A, the module
 axioms behind check_left_module and check_right_module, and
-is_cocommutative keep their last MEMO_SIZE verdicts, keyed on the record
+is_cocommutative keep their last MEMO_SIZE verdicts, and gamma, psi,
+mu_tilde and braiding their last MEMO_SIZE maps, keyed on the record
 itself, which compares and hashes by its structure maps and never by its
 meta.  A warm call must return what an uncached call returns, witnesses
 included; the key must tell apart maps that differ only in their field; a
-raising call stores nothing; and the cache stays within its bound.
+raising call stores nothing; and the cache stays within its bound.  From
+cold caches, one suite row builds each derived map once, however many of
+its checks and functors ask for it.
 """
 import dataclasses
 import sys
@@ -24,37 +27,41 @@ from braceforge import (BraceForgeError, LinMap, NotDiagonal, PrereqFailed,
                         mu_tilde, parse_field, psi)
 from braceforge.actions import _check_module
 from braceforge.linmap import braiding
-from braceforge.report import MEMO_SIZE, memoize
+from braceforge.report import MEMO_SIZE, AxiomReport, memoize
 from braceforge.suite import row_verdicts
 
+from conftest import clear_caches, memoized_functions, package_bindings
 from mutants import (broken_antipode, broken_brace, broken_matched_pair,
                      broken_obt, reentry)
 
 F5 = PrimeField(5)
 MEMOIZED = (check_hopf, check_hopf_brace, check_obt, check_mp_over_A,
-            _check_module, is_cocommutative, braiding)
-
-
-def _clear():
-    for fn in MEMOIZED:
-        fn.cache_clear()
+            _check_module, is_cocommutative, braiding, gamma, psi, mu_tilde)
 
 
 @pytest.fixture(autouse=True)
 def cold_caches():
-    _clear()
+    clear_caches()
     yield
-    _clear()
+    clear_caches()
+
+
+def test_the_memoized_functions_are_pinned():
+    """Adding a cache is a deliberate choice: these ten functions keep one."""
+    found = memoized_functions()
+    assert sorted(found) == sorted([
+        "check_hopf", "check_hopf_brace", "check_obt", "check_mp_over_A",
+        "_check_module", "is_cocommutative", "braiding", "gamma", "psi",
+        "mu_tilde"])
+    assert all(found[fn.__name__] is fn for fn in MEMOIZED)
 
 
 def _uncached(monkeypatch):
     """Bind every memoized function in the package to the function it wraps."""
     originals = {id(fn): fn.__wrapped__ for fn in MEMOIZED}
-    for name, mod in list(sys.modules.items()):
-        if name == "braceforge" or name.startswith("braceforge."):
-            for attr, value in list(vars(mod).items()):
-                if id(value) in originals:
-                    monkeypatch.setattr(mod, attr, originals[id(value)])
+    for mod, attr, value in package_bindings():
+        if id(value) in originals:
+            monkeypatch.setattr(mod, attr, originals[id(value)])
 
 
 def _doubled(m: LinMap, which: int = 0) -> LinMap:
@@ -64,9 +71,10 @@ def _doubled(m: LinMap, which: int = 0) -> LinMap:
 
 
 def _calls():
-    """(checker name, input): every order <= 4 linearized brace over Q and
+    """(function name, input): every order <= 4 linearized brace over Q and
     Fp:5 with its Q and F images, one-constant mutants of each, and the
-    mutants of tests/mutants.py."""
+    mutants of tests/mutants.py, each given to its checker and to the
+    derived map it is built on."""
     out = []
     for spec in ("Q", "Fp:5"):
         for order in range(1, 5):
@@ -92,11 +100,13 @@ def _calls():
             for a in ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii")]
     out += [("check_mp_over_A", broken_matched_pair(a))
             for a in ("i", "ii", "iii", "iv", "v", "vi")]
-    return out
+    derived = {"check_hopf_brace": "gamma", "check_obt": "mu_tilde",
+               "check_mp_over_A": "psi"}
+    return out + [(derived[name], x) for name, x in out if name in derived]
 
 
 def _outcome(name: str, x):
-    """The report, or the class and message of the error raised."""
+    """The report or map, or the class and message of the error raised."""
     try:
         return getattr(braceforge, name)(x)
     except BraceForgeError as exc:
@@ -114,7 +124,7 @@ def _rebuilt(x):
 
 def test_warm_reports_equal_uncached_ones(monkeypatch):
     calls = _calls()
-    _clear()  # building the inputs ran the gates
+    clear_caches()  # building the inputs ran the gates
     with monkeypatch.context() as patch:
         _uncached(patch)
         cold = [_outcome(name, x) for name, x in calls]
@@ -124,9 +134,9 @@ def test_warm_reports_equal_uncached_ones(monkeypatch):
     want_twice = [c for c in cold for _ in range(2)]
     assert warm == want_twice
     for got, want in zip(warm, want_twice):
-        if not isinstance(want, tuple):
+        if isinstance(want, AxiomReport):
             assert (str(got), got.to_dict()) == (str(want), want.to_dict())
-    assert any(not rep.ok for rep in cold if not isinstance(rep, tuple))
+    assert any(not rep.ok for rep in cold if isinstance(rep, AxiomReport))
     assert any(isinstance(rep, tuple) for rep in cold)  # NotDiagonal
     assert all(fn.cache_info().hits > 0 for fn in MEMOIZED)
 
@@ -166,7 +176,7 @@ def test_suite_row_verifies_each_module_structure_once():
             for s in enumerate_skew_braces(g)]
     assert len(rows) == 10
     for b in rows:
-        _clear()
+        clear_caches()
         list(row_verdicts(b))
         assert _check_module.cache_info().misses == 2
         assert is_cocommutative.cache_info().misses <= 2
@@ -177,43 +187,64 @@ def test_suite_row_builds_each_image_once(count_calls):
     """From cold caches, an order-6 row over Q or Fp:5 builds F(b), Q(b),
     P(Q(b)) and G(F(b)) once each, and no other F or Q: a passing row has
     P(Q(b)) == b and G(F(b)) == b, so its QP, FG and obt_from_mp verdicts
-    reuse Q(b) and F(b).  mu_tilde runs for check_obt, the recovery lemma,
-    P and G; gamma for check_hopf_brace, check_brace_identities, F and Q;
-    psi once, inside check_mp_over_A."""
-    calls = count_calls(functor_F, functor_G, functor_P, functor_Q, mu_tilde,
-                        gamma, psi)
+    reuse Q(b) and F(b).  It also builds gamma, psi and mu_tilde once each:
+    gamma serves check_hopf_brace, check_brace_identities, F's two actions
+    and Q; psi the matched pair axioms and the interweaving identity;
+    mu_tilde check_obt, the recovery lemma, P and G.  Every later call is a
+    cache hit, so these count builds, not calls."""
+    calls = count_calls(functor_F, functor_G, functor_P, functor_Q)
     rows = [linearize(s, field) for field in (QQ, F5)
             for g in groups_of_order(6) for s in enumerate_skew_braces(g)]
     assert len(rows) == 20
     for b in rows:
-        _clear()
+        clear_caches()
         calls.update(dict.fromkeys(calls, 0))
         assert all(ok for _, ok in row_verdicts(b))
         assert calls == {"functor_F": 1, "functor_G": 1, "functor_P": 1,
-                         "functor_Q": 1, "mu_tilde": 4, "gamma": 4, "psi": 1}
+                         "functor_Q": 1}
+        builds = {fn.__name__: fn.cache_info().misses
+                  for fn in (gamma, psi, mu_tilde)}
+        assert builds == {"gamma": 1, "psi": 1, "mu_tilde": 1}
 
 
-def test_each_call_builds_its_shared_map_once(count_calls):
-    """functor_F(b) builds gamma(b) once for both of its actions, and
-    check_mp_over_A(m) builds psi(m) once for the six axioms and the
-    interweaving identity, on every order <= 4 brace over Q and Fp:5.
-    From cold caches, F's gate check_hopf_brace builds one more gamma; the
-    first call warms it."""
+def test_each_call_builds_its_shared_map_once():
+    """functor_F(b) builds gamma(b) once, in its gate check_hopf_brace, and
+    its two actions reuse it; check_mp_over_A(m) builds psi(m) once for the
+    six axioms and the interweaving identity; on every order <= 4 brace
+    over Q and Fp:5."""
     braces = [linearize(s, parse_field(spec)) for spec in ("Q", "Fp:5")
               for order in range(1, 5) for g in groups_of_order(order)
               for s in enumerate_skew_braces(g)]
     assert len(braces) == 18
-    calls = count_calls(gamma, psi)
+
+    def builds():
+        return gamma.cache_info().misses, psi.cache_info().misses
+
     for b in braces:
-        _clear()
-        calls.update(dict.fromkeys(calls, 0))
+        clear_caches()
+        check_hopf_brace(b)
+        assert builds() == (1, 0)
         m = functor_F(b)
-        assert calls == {"gamma": 2, "psi": 0}
-        assert functor_F(b) == m  # its gate now served from cache
-        assert calls == {"gamma": 3, "psi": 0}
-        _clear()
+        assert builds() == (1, 0)  # no second gamma after the gate
+        assert functor_F(b) == m
+        assert builds() == (1, 0)
+        clear_caches()
         assert check_mp_over_A(m).ok
-        assert calls == {"gamma": 3, "psi": 1}
+        assert builds() == (0, 1)
+
+
+def test_derived_maps_are_shared_by_value_and_split_by_field():
+    """An equal record with another meta gets the same gamma, psi and
+    mu_tilde object; a brace over Q and its reduction over Fp:5, equal
+    constants on another field, never share an entry."""
+    s = enumerate_skew_braces(groups_of_order(6)[1])[-1]
+    b, bf = linearize(s, QQ), linearize(s, F5)
+    for fn, over_q, over_f in ((gamma, b, bf),
+                               (psi, functor_F(b), functor_F(bf)),
+                               (mu_tilde, functor_Q(b), functor_Q(bf))):
+        assert fn(_rebuilt(over_q)) is fn(over_q), fn.__name__
+        assert fn(over_f) != fn(over_q), fn.__name__
+        assert fn.cache_info().currsize == 2, fn.__name__
 
 
 def test_cache_holds_at_most_its_bound():
