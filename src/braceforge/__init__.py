@@ -34,9 +34,9 @@ from .obt import (OppBraceTripleData, build_deformed_hopf,
                   functor_P, functor_Q, mu_tilde, require_valid_obt,
                   roundtrip_PQ, roundtrip_QP)
 from .report import AxiomReport, CheckEntry
-from .skewbraces import (CayleyTable, SkewBraceData, builtin_group,
-                         check_group, check_skew_brace, cyclic, dihedral,
-                         direct_product, enumerate_skew_braces,
+from .skewbraces import (CayleyTable, SkewBraceData, automorphisms,
+                         builtin_group, check_group, check_skew_brace, cyclic,
+                         dihedral, direct_product, enumerate_skew_braces,
                          group_tables, groups_of_order, klein_4, linearize,
                          quaternion_8, symmetric_3)
 from .storage import dumps, kind_of, load, loads, save, to_document

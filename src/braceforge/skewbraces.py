@@ -10,11 +10,15 @@ all a, b, c,
 where inv is the dot-inverse.  Linearization turns a skew brace into a
 pair of group algebras on the shared group-like coalgebra.
 
-Enumeration tests every group table on the index set with the shared
-identity against the compatibility law.  Every such table is isomorphic
-to exactly one catalogue group (groups_of_order, orders 1 through 8), so
-the candidates are the catalogue groups relabeled by every bijection that
-sends their identity to the shared one.
+Enumeration follows Guarnieri and Vendramin (Skew braces and the
+Yang-Baxter equation, Math. Comp. 2017).  A circ table on the dot group A
+is a map lambda: A -> Aut(A) with a circ b = a dot lambda_a(b) and
+lambda_(a circ b) = lambda_a lambda_b, that is, a regular subgroup
+{(a, lambda_a)} of the holomorph Hol(A) = A x| Aut(A).  The search gives
+lambda to the smallest element without one, tries each automorphism, and
+closes the assigned pairs under the holomorph product
+(x, f)(y, g) = (x dot f(y), f g); a branch dies as soon as one element
+would get two different lambdas.
 """
 from __future__ import annotations
 
@@ -238,6 +242,8 @@ def group_tables(n: int, identity: int = 0) -> list[CayleyTable]:
     Each is a relabeling of a catalogue group by a bijection sending its
     identity to `identity`; two bijections give the same table exactly
     when they differ by an automorphism, so the tables are deduplicated.
+    Enumeration no longer uses it: it is kept as a test oracle for
+    enumerate_skew_braces and as a benchmark layer function.
     """
     tables = set()
     for g in groups_of_order(n):
@@ -248,6 +254,114 @@ def group_tables(n: int, identity: int = 0) -> list[CayleyTable]:
             tables.add(tuple(tuple(sigma[g.table[a][b]] for b in sigma_inv)
                              for a in sigma_inv))
     return [CayleyTable(t, identity) for t in sorted(tables)]
+
+
+# ---------------------------------------------------------------------------
+# automorphisms
+
+def _generators(g: CayleyTable) -> list[int]:
+    """A generating set, picked greedily from the elements of largest order."""
+    n, e, tbl = g.order, g.identity, g.table
+
+    def order(a):
+        k, x = 1, a
+        while x != e:
+            x, k = tbl[x][a], k + 1
+        return k
+
+    gens, reached = [], {e}
+    for a in sorted(range(n), key=lambda a: (-order(a), a)):
+        if a in reached:
+            continue
+        gens.append(a)
+        frontier = list(reached)
+        while frontier:
+            x = frontier.pop()
+            for s in gens:
+                y = tbl[x][s]
+                if y not in reached:
+                    reached.add(y)
+                    frontier.append(y)
+    return gens
+
+
+def automorphisms(g: CayleyTable) -> list[tuple[int, ...]]:
+    """Every automorphism of g as its tuple of images, sorted (identity first).
+
+    Each choice of images for a generating set is extended along the
+    Cayley graph; it is kept when every edge x -> x*s maps to an edge
+    and the map is a bijection.  Raises NotAGroup unless g is a group.
+    """
+    check_group(g).require(NotAGroup, "table fails the group axioms")
+    return _automorphisms(g)
+
+
+def _automorphisms(g: CayleyTable) -> list[tuple[int, ...]]:
+    n, e, tbl = g.order, g.identity, g.table
+    gens = _generators(g)
+    found = []
+    for images in itertools.product(range(n), repeat=len(gens)):
+        phi = [None] * n
+        phi[e] = e
+        queue, ok = [e], True
+        for x in queue:
+            for s, t in zip(gens, images):
+                y, v = tbl[x][s], tbl[phi[x]][t]
+                if phi[y] is None:
+                    phi[y] = v
+                    queue.append(y)
+                elif phi[y] != v:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok and len(set(phi)) == n:
+            found.append(tuple(phi))
+    return sorted(found)
+
+
+def _regular_subgroups(dot: CayleyTable) -> list[tuple[int, ...]]:
+    """Every lambda whose pairs (a, lambda_a) form a regular subgroup of
+    Hol(dot), as a tuple of images per element; dot must be a group.
+
+    Automorphisms are handled by index through their composition table.
+    """
+    n, e, tbl = dot.order, dot.identity, dot.table
+    auts = _automorphisms(dot)
+    index = {f: i for i, f in enumerate(auts)}
+    comp = [[index[tuple(map(f.__getitem__, h))] for h in auts] for f in auts]
+    found = []
+
+    def close(lam, members, queue):
+        # (x, f)(y, h) = (x dot f(y), f h) for every pair touching a new element
+        while queue:
+            x = queue.pop()
+            for y in members[:]:
+                for a, b in ((x, y), (y, x)):
+                    z, h = tbl[a][auts[lam[a]][b]], comp[lam[a]][lam[b]]
+                    if lam[z] is None:
+                        lam[z] = h
+                        members.append(z)
+                        queue.append(z)
+                    elif lam[z] != h:
+                        return False
+        return True
+
+    def extend(lam, members):
+        if None not in lam:
+            found.append(tuple(auts[f] for f in lam))
+            return
+        a = lam.index(None)
+        for f in range(len(auts)):
+            lam2, members2 = lam[:], members + [a]
+            lam2[a] = f
+            if close(lam2, members2, [a]):
+                extend(lam2, members2)
+
+    lam = [None] * n
+    lam[e] = 0  # the identity automorphism sorts first
+    extend(lam, [e])
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -302,17 +416,27 @@ def check_skew_brace(s: SkewBraceData) -> AxiomReport:
 def enumerate_skew_braces(dot: CayleyTable) -> list[SkewBraceData]:
     """All skew braces with the given dot group, sorted by circ table.
 
-    Tests every group table on the index set with the shared identity
-    against the compatibility law.  Guarded at order 8.
+    Each circ table is a circ b = a dot lambda_a(b) for one regular subgroup
+    {(a, lambda_a)} of Hol(dot) found by the lambda search; every result is
+    checked against the compatibility law once more.  Guarded at
+    ENUMERATION_ORDER_BOUND.
     """
     if dot.order > ENUMERATION_ORDER_BOUND:
         raise OrderTooLarge(
             f"enumeration is guarded at order {ENUMERATION_ORDER_BOUND}, "
             f"got {dot.order}")
     check_group(dot).require(NotAGroup, "dot table fails the group axioms")
-    return [SkewBraceData(dot, circ)
-            for circ in group_tables(dot.order, dot.identity)
-            if _compat_witness(dot, circ) is None]
+    tbl = dot.table
+    circs = sorted(tuple(tuple(tbl[a][lam_a[b]] for b in range(dot.order))
+                         for a, lam_a in enumerate(lam))
+                   for lam in _regular_subgroups(dot))
+    braces = []
+    for t in circs:
+        circ = CayleyTable(t, dot.identity)
+        AxiomReport((_law("compatibility", _compat_witness(dot, circ)),)).require(
+            SkewBraceAxiomsFailed, "enumerated circ table fails the skew brace law")
+        braces.append(SkewBraceData(dot, circ))
+    return braces
 
 
 def linearize(s: SkewBraceData, field):

@@ -1,13 +1,16 @@
 import hashlib
+from functools import lru_cache
 from itertools import permutations, product
+from math import factorial
 
 import pytest
 
-from braceforge import (CayleyTable, QQ, SkewBraceData, builtin_group,
-                        check_group, check_skew_brace, cyclic, dihedral,
-                        direct_product, enumerate_skew_braces, group_tables,
-                        groups_of_order, klein_4, linearize, quaternion_8,
-                        symmetric_3)
+from braceforge import (CayleyTable, QQ, SkewBraceData, automorphisms,
+                        builtin_group, check_group, check_skew_brace, cyclic,
+                        dihedral, direct_product, enumerate_skew_braces,
+                        group_tables, groups_of_order, klein_4, linearize,
+                        quaternion_8, symmetric_3)
+from braceforge import skewbraces
 from braceforge.errors import (NotAGroup, OrderTooLarge, PrereqFailed,
                                SkewBraceAxiomsFailed)
 
@@ -219,6 +222,125 @@ def test_enumeration_guards():
     broken = CayleyTable(((0, 1, 2), (1, 2, 0), (2, 1, 0)), 0)
     with pytest.raises(NotAGroup):
         enumerate_skew_braces(broken)
+
+
+@lru_cache(maxsize=None)
+def _cached_group_tables(n: int, identity: int) -> tuple:
+    return tuple(group_tables(n, identity))
+
+
+def relabel_and_filter(dot: CayleyTable) -> list[SkewBraceData]:
+    """The enumeration the lambda search replaced: every group table on the
+    index set with the shared identity that passes the compatibility law."""
+    return [SkewBraceData(dot, circ)
+            for circ in _cached_group_tables(dot.order, dot.identity)
+            if skewbraces._compat_witness(dot, circ) is None]
+
+
+def test_enumeration_equals_the_relabel_and_filter_oracle():
+    dots = [g for n in range(1, 9) for g in groups_of_order(n)]
+    dots += [_relabel(g, [(a + k) % 8 for a in range(8)])
+             for k in (1, 3, 5) for g in groups_of_order(8)]
+    for g in dots:
+        assert enumerate_skew_braces(g) == relabel_and_filter(g), \
+            (g.label, g.identity)
+
+
+def test_enumeration_does_not_build_group_tables(count_calls):
+    calls = count_calls(group_tables)
+    for g in groups_of_order(8):
+        enumerate_skew_braces(g)
+    assert calls == {"group_tables": 0}
+
+
+# -- automorphisms ------------------------------------------------------------
+
+AUT_ORDERS = {"Z1": 1, "Z2": 1, "Z3": 2, "Z4": 2, "Z2xZ2": 6, "Z5": 4,
+              "Z6": 2, "S3": 6, "Z7": 6, "Z8": 4, "Z2xZ4": 8,
+              "Z2xZ2xZ2": 168, "D4": 8, "Q8": 24}
+
+
+def test_automorphism_group_orders_frozen():
+    found = {g.label: len(automorphisms(g))
+             for n in range(1, 9) for g in groups_of_order(n)}
+    assert found == AUT_ORDERS
+
+
+def _is_automorphism(g: CayleyTable, phi) -> bool:
+    n = g.order
+    return (sorted(phi) == list(range(n)) and phi[g.identity] == g.identity
+            and all(phi[g.mul(a, b)] == g.mul(phi[a], phi[b])
+                    for a in range(n) for b in range(n)))
+
+
+def test_automorphisms_are_distinct_bijective_homomorphisms():
+    groups = [(g.label, g) for n in range(1, 9) for g in groups_of_order(n)]
+    # an identity other than 0
+    groups += [(g.label, _relabel(g, [(a + 3) % 8 for a in range(8)]))
+               for g in groups_of_order(8)]
+    for label, g in groups:
+        auts = automorphisms(g)
+        assert len(set(auts)) == len(auts) == AUT_ORDERS[label], label
+        assert auts[0] == tuple(range(g.order)), label
+        assert all(_is_automorphism(g, phi) for phi in auts), label
+
+
+def test_automorphisms_reject_a_non_group():
+    # 1 * 1 = 1 has no finite order, so the gate must come first
+    idempotent = CayleyTable(((0, 1), (1, 1)), 0)
+    with pytest.raises(NotAGroup):
+        automorphisms(idempotent)
+
+
+def test_labeled_table_count_is_the_automorphism_formula():
+    expected = {1: 1, 2: 1, 3: 1, 4: 4, 5: 6, 6: 80, 7: 120, 8: 2760}
+    for n, count in expected.items():
+        formula = sum(factorial(n - 1) // len(automorphisms(g))
+                      for g in groups_of_order(n))
+        assert formula == len(_cached_group_tables(n, 0)) == count, n
+
+
+def _up_to_automorphism(g: CayleyTable) -> int:
+    """Number of circ tables on g up to conjugation by Aut(g)."""
+    n, seen, classes = g.order, set(), 0
+    for s in enumerate_skew_braces(g):
+        c = s.circ.table
+        if c in seen:
+            continue
+        classes += 1
+        for phi in automorphisms(g):
+            inv = sorted(range(n), key=phi.__getitem__)
+            seen.add(tuple(tuple(phi[c[inv[a]][inv[b]]] for b in range(n))
+                           for a in range(n)))
+    return classes
+
+
+def test_skew_braces_up_to_isomorphism_frozen():
+    # per order this is 1, 1, 1, 4, 1, 6, 1, 47: OEIS A294279
+    found = {g.label: _up_to_automorphism(g)
+             for n in range(1, 9) for g in groups_of_order(n)}
+    assert found == {"Z1": 1, "Z2": 1, "Z3": 1, "Z4": 2, "Z2xZ2": 2,
+                     "Z5": 1, "Z6": 2, "S3": 4, "Z7": 1, "Z8": 5,
+                     "Z2xZ4": 14, "Z2xZ2xZ2": 8, "D4": 12, "Q8": 8}
+
+
+def test_labeled_brace_counts_past_order_8_frozen(monkeypatch):
+    # the lambda search needs no catalogue, so only the guard holds order 8
+    monkeypatch.setattr(skewbraces, "ENUMERATION_ORDER_BOUND", 15)
+    z, times = cyclic, direct_product
+    groups = {"Z9": z(9), "Z3xZ3": times(z(3), z(3)), "Z10": z(10),
+              "D5": dihedral(5), "Z11": z(11), "Z12": z(12),
+              "Z2xZ6": times(z(2), z(6)), "D6": dihedral(6),
+              "Dic3": skewbraces._two_generator_table(6, 3, "Dic3"),
+              "Z13": z(13), "Z14": z(14), "D7": dihedral(7), "Z15": z(15)}
+    counts = {}
+    for label, g in groups.items():
+        braces = enumerate_skew_braces(g)
+        assert all(check_skew_brace(s).ok for s in braces), label
+        counts[label] = len(braces)
+    assert counts == {"Z9": 3, "Z3xZ3": 9, "Z10": 2, "D5": 12, "Z11": 1,
+                      "Z12": 6, "Z2xZ6": 12, "D6": 28, "Dic3": 28, "Z13": 1,
+                      "Z14": 2, "D7": 16, "Z15": 1}
 
 
 # -- skew brace data and linearization ---------------------------------------
