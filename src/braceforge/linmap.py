@@ -29,15 +29,21 @@ no entry needs a tuple key for the cyclic garbage collector to scan.
 A column dict is never mutated once the map that first holds it is built.
 So maps share columns freely: compose hands on column k of its left
 operand wherever the right operand sends a basis vector to e_k with
-coefficient 1 (as the permutation-like structure maps of the corpus do),
-and tensor builds the shifted copy of the right factor's columns once per
-entry of the left factor.  legwise builds its result one output column at
-a time, from the columns of c1, c2, the braiding, f and g that the column
-reaches; it never builds f (x) g, c1 (x) c2, id (x) c (x) id or a composite
-of them, whose dimension is the fourth power of the carrier's.  Products are summed with
-plain + and *, and each output entry is brought into the field's
-canonical form once, by field.normalize.  All values are immutable after
-construction, so a LinMap hashes once and can key a cache.
+coefficient 1 (as the permutation-like structure maps of the corpus do).
+tensor builds no columns: it returns a map that holds its two factors.
+compose reads such an operand through its factors, so a padding
+f o (id (x) g) or (g (x) id) o k costs one pass over the columns of the
+result, and two tensors whose legs line up compose leg by leg, into a
+tensor again.  A tensor's own columns are built once, when something
+first reads them (==, hash, items, entry, rows, legwise, storage or
+pickling), by making the shifted copy of the right factor's columns once
+per entry of the left factor.  legwise builds its result one output column
+at a time, from the columns of c1, c2, the braiding, f and g that the
+column reaches; it never builds f (x) g, c1 (x) c2, id (x) c (x) id or a
+composite of them, whose dimension is the fourth power of the carrier's.
+Products are summed with plain + and *, and each output entry is brought
+into the field's canonical form once, by field.normalize.  All values are
+immutable after construction, so a LinMap hashes once and can key a cache.
 """
 from __future__ import annotations
 
@@ -303,7 +309,7 @@ class LinMap:
     @classmethod
     def identity(cls, field: Field, space: Space) -> "LinMap":
         one = field.one()
-        return cls(field, space, space, {(i, i): one for i in range(space.dim)})
+        return _raw(field, space, space, {i: {i: one} for i in range(space.dim)})
 
     @classmethod
     def zero(cls, field: Field, domain: Space, codomain: Space) -> "LinMap":
@@ -406,13 +412,35 @@ def compose(*maps: LinMap) -> LinMap:
 def _compose2(f: LinMap, g: LinMap) -> LinMap:
     """f o g, column by column: column j is f applied to column j of g.
 
+    A tensor operand is read through its factors and never built.  Two
+    tensors whose legs line up compose leg by leg, by the interchange law
+    (a (x) b) o (c (x) d) = (a o c) (x) (b o d), and stay a tensor.
+    """
+    norm = f.field.normalize
+    if type(f) is _Tensor:
+        a, b = f._factors
+        if type(g) is not _Tensor:
+            cols = _apply_tensor(a, b, g._cols.items(), norm)
+        else:
+            c, d = g._factors
+            if a.domain.dim == c.codomain.dim:
+                return _Tensor(_compose2(a, c), _compose2(b, d))
+            cols = _apply_tensor(a, b, _factor_columns(c._cols.items(), d, norm), norm)
+    elif type(g) is _Tensor:
+        cols = _apply_to_tensor(f._cols, *g._factors, norm)
+    else:
+        cols = _apply(f._cols, g._cols.items(), norm)
+    return _raw(f.field, g.domain, f.codomain, cols)
+
+
+def _apply(fcols: dict, columns, norm) -> dict:
+    """The columns of f o g, for the columns of f and those (j, column) of g.
+
     Only the columns of f that g reaches are read.  A column of g that is a
     single entry 1 at row k gives column k of f itself, shared, not copied.
     """
-    fcols = f._cols
-    norm = f.field.normalize
     cols = {}
-    for j, gcol in g._cols.items():
+    for j, gcol in columns:
         if len(gcol) == 1:
             ((k, vg),) = gcol.items()
             fcol = fcols.get(k)
@@ -429,29 +457,151 @@ def _compose2(f: LinMap, g: LinMap) -> LinMap:
                     acc[i] += vf * vg
                 else:
                     acc[i] = vf * vg
-        col = {}
-        for i, v in acc.items():
-            v = norm(v)
-            if v:
-                col[i] = v
+        col = _normalized(acc, norm)
         if col:
             cols[j] = col
-    return _raw(f.field, g.domain, f.codomain, cols)
+    return cols
+
+
+def _apply_to_tensor(fcols: dict, g: LinMap, h: LinMap, norm) -> dict:
+    """The columns of f o (g (x) h), read through g and h.
+
+    When column x of g is a single entry at row p and every column of h is
+    a single entry (h is monomial, as the corpus's maps are), column (x, y)
+    is f's column p * dim(h's codomain) + k times the two entries, where
+    column y of h sits at row k; it is f's own column, shared, when both
+    entries are 1.  Other columns are made from the factors' one at a time.
+    """
+    hc, hd = h.codomain.dim, h.domain.dim
+    hcols = h._cols
+    singles = [(y, k, vh) for y, col in hcols.items() if len(col) == 1
+               for k, vh in col.items()]
+    monomial = len(singles) == len(hcols)
+    cols = {}
+    for x, gcol in g._cols.items():
+        if len(gcol) == 1 and monomial:
+            ((p, vg),) = gcol.items()
+            base, off = x * hd, p * hc
+            for y, k, vh in singles:
+                fcol = fcols.get(off + k)
+                if fcol is None:
+                    continue
+                if vg == 1 and vh == 1:
+                    cols[base + y] = fcol
+                else:
+                    v = vg * vh
+                    cols[base + y] = {i: norm(vf * v) for i, vf in fcol.items()}
+            continue
+        cols.update(_apply(fcols, _factor_columns(((x, gcol),), h, norm), norm))
+    return cols
+
+
+def _apply_tensor(a: LinMap, b: LinMap, columns, norm) -> dict:
+    """The columns of (a (x) b) o g, for the columns (j, v) of g, read
+    through a and b: an entry w at row p of v contributes
+    w a(e_{p div B}) (x) b(e_{p mod B}), where B is the dimension of b's
+    domain.  The entries of v must be in canonical form."""
+    acols, bcols = a._cols, b._cols
+    bd, bc = b.domain.dim, b.codomain.dim
+    cols = {}
+    for j, gcol in columns:
+        if len(gcol) == 1:
+            ((p, w),) = gcol.items()
+            acol, bcol = acols.get(p // bd), bcols.get(p % bd)
+            if acol is None or bcol is None:
+                continue
+            if len(acol) == 1 and len(bcol) == 1:
+                ((i, va),), ((k, vb),) = acol.items(), bcol.items()
+                cols[j] = {i * bc + k: w if va == 1 and vb == 1 else norm(w * va * vb)}
+                continue
+        acc = {}
+        for p, w in gcol.items():
+            acol, bcol = acols.get(p // bd), bcols.get(p % bd)
+            if acol is None or bcol is None:
+                continue
+            for i, va in acol.items():
+                wa, base = w * va, i * bc
+                for k, vb in bcol.items():
+                    k += base
+                    if k in acc:
+                        acc[k] += wa * vb
+                    else:
+                        acc[k] = wa * vb
+        col = _normalized(acc, norm)
+        if col:
+            cols[j] = col
+    return cols
+
+
+def _normalized(acc: dict, norm) -> dict:
+    """The sums in acc in canonical form, zeros dropped."""
+    col = {}
+    for i, v in acc.items():
+        v = norm(v)
+        if v:
+            col[i] = v
+    return col
+
+
+def _factor_columns(gcols, h: LinMap, norm):
+    """The nonzero columns (x, y) of g (x) h, g(e_x) (x) h(e_y), for the
+    columns (x, g(e_x)) of g given, as (j, column) pairs.  They are made
+    one at a time and not kept."""
+    hc, hd = h.codomain.dim, h.domain.dim
+    hcols = h._cols.items()
+    for x, gcol in gcols:
+        base, single = x * hd, len(gcol) == 1
+        for y, hcol in hcols:
+            if single and len(hcol) == 1:
+                ((p, vg),), ((q, vh),) = gcol.items(), hcol.items()
+                yield base + y, {p * hc + q: vh if vg == 1 else norm(vg * vh)}
+            else:
+                yield base + y, {p * hc + q: norm(vg * vh)
+                                 for p, vg in gcol.items() for q, vh in hcol.items()}
 
 
 def tensor(*maps: LinMap) -> LinMap:
-    """Kronecker product, left factor major in both domain and codomain."""
+    """Kronecker product, left factor major in both domain and codomain.
+
+    The product is held as its factors: its columns are built only when
+    something reads them (see _Tensor)."""
     if not maps:
         raise ValueError("tensor needs at least one map")
     _require_same_field(*maps)
     out = maps[0]
     for g in maps[1:]:
-        out = _tensor2(out, g)
+        out = _Tensor(out, g)
     return out
 
 
-def _tensor2(f: LinMap, g: LinMap) -> LinMap:
-    """f (x) g, column by column: column (fj, gj) stacks column gj of g,
+class _Tensor(LinMap):
+    """f (x) g, held as the pair of its factors.  compose reads it through
+    them.  Its columns are built by _tensor2 on their first read (by ==,
+    hash, items, entry, rows, legwise, storage or pickling) and kept."""
+
+    __slots__ = ("_factors",)
+
+    def __init__(self, f: LinMap, g: LinMap):
+        object.__setattr__(self, "field", f.field)
+        object.__setattr__(self, "domain", f.domain.tensor(g.domain))
+        object.__setattr__(self, "codomain", f.codomain.tensor(g.codomain))
+        object.__setattr__(self, "_factors", (f, g))
+
+    def __getattr__(self, name):
+        # reached only for a slot not yet set, so _cols only before its first read
+        if name != "_cols":
+            raise AttributeError(name)
+        cols = _tensor2(*self._factors)
+        object.__setattr__(self, "_cols", cols)
+        return cols
+
+    def support_size(self) -> int:
+        f, g = self._factors
+        return f.support_size() * g.support_size()
+
+
+def _tensor2(f: LinMap, g: LinMap) -> dict:
+    """The columns of f (x) g: column (fj, gj) stacks column gj of g,
     moved down to block fi and scaled by f[fi, fj], for each entry of
     column fj of f.  The blocks of one entry of f serve every column of f
     that holds that entry, shared, not copied."""
@@ -478,7 +628,7 @@ def _tensor2(f: LinMap, g: LinMap) -> LinMap:
             for block in blocks:
                 col.update(block[t])
             cols[base + gj] = col
-    return _raw(f.field, f.domain.tensor(g.domain), f.codomain.tensor(g.codomain), cols)
+    return cols
 
 
 def _blocks(gitems: list, offset: int, scale, norm) -> list[dict]:
@@ -563,11 +713,7 @@ def legwise(f: LinMap, g: LinMap, c1: LinMap, c2: LinMap) -> LinMap:
                                     acc[k] += wf * vg
                                 else:
                                     acc[k] = wf * vg
-            col = {}
-            for k, v in acc.items():
-                v = norm(v)
-                if v:
-                    col[k] = v
+            col = _normalized(acc, norm)
             if col:
                 cols[x * ny + y] = col
     return _raw(field, c1.domain.tensor(c2.domain), f.codomain.tensor(g.codomain), cols)

@@ -11,14 +11,14 @@ import sys
 
 from braceforge import (BraceForgeError, HopfBraceData, LeftModuleData,
                         LinMap, MatchedPairData, OppBraceTripleData,
-                        PrimeField, SkewBraceData,
+                        PrimeField, QQ, SkewBraceData,
                         build_deformed_hopf, check_brace_identities,
                         check_hopf, check_hopf_brace, check_lemma_mu_recovery,
                         check_module_algebra, check_mp_over_A, check_obt,
                         enumerate_skew_braces, functor_F, functor_G, functor_P,
-                        functor_Q, groups_of_order, linearize, mu_tilde,
-                        obt_from_matched_pair, roundtrip_FG, roundtrip_GF,
-                        roundtrip_PQ, roundtrip_QP)
+                        functor_Q, group_algebra, groups_of_order, linearize,
+                        mu_tilde, obt_from_matched_pair, roundtrip_FG,
+                        roundtrip_GF, roundtrip_PQ, roundtrip_QP, trivial_brace)
 from braceforge import linmap
 from braceforge.brace import BRACE_MAPS
 from braceforge.hopf import HOPF_MAPS
@@ -285,3 +285,38 @@ def test_order_8_row_builds_no_map_on_the_fourth_tensor_power(monkeypatch):
     b = linearize(s, F5)
     assert [name for name, ok in row_verdicts(b) if not ok] == []
     assert len(widest) > 100 and max(widest) <= 8 ** 3
+
+
+def test_order_8_checks_build_no_identity_padding(monkeypatch):
+    # compose reads f o (id (x) g) and (g (x) id) o k through the factors,
+    # so neither an order-8 row nor a failing check on a mutant builds the
+    # columns of a tensor with an identity factor.  Builds are counted, not
+    # tensor calls, from cold caches.
+    built = []
+    build = linmap._tensor2
+
+    def counting_build(f, g):
+        built.append((f, g))
+        return build(f, g)
+
+    def is_identity(m):
+        return m.domain == m.codomain and m == LinMap.identity(m.field, m.domain)
+
+    monkeypatch.setattr(linmap, "_tensor2", counting_build)
+    clear_caches()
+    s = enumerate_skew_braces(groups_of_order(8)[3])[-1]
+    assert [name for name, ok in row_verdicts(linearize(s, F5)) if not ok] == []
+    row_builds = len(built)
+    clear_caches()
+    b = trivial_brace(group_algebra(groups_of_order(8)[2], QQ))
+    entries = dict(b.product1.items())
+    key = sorted(entries)[5]
+    entries[key] *= 2
+    mutant = dataclasses.replace(b, product1=LinMap(
+        QQ, b.product1.domain, b.product1.codomain, entries))
+    entry = check_hopf_brace(mutant).entry("first.bialgebra.product.counit")
+    assert entry.witness == {"kind": "entry", "row": 0, "col": key[1],
+                             "left": "2", "right": "1"}
+    assert row_builds > 0 and len(built) > row_builds  # the counter sees builds
+    assert [(f.shape(), g.shape()) for f, g in built
+            if is_identity(f) or is_identity(g)] == []

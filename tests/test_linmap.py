@@ -2,14 +2,15 @@ import itertools
 import math
 import pickle
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from braceforge import (LinMap, PrimeField, QQ, Space, braiding, compose,
-                        cyclic, equal, first_difference, group_algebra,
+from braceforge import (LinMap, PrimeField, QQ, Space, braiding, check_hopf,
+                        compose, cyclic, equal, first_difference, group_algebra,
                         groups_of_order, parse_field, tensor)
 from braceforge.errors import DimensionMismatch, FieldMismatch
 from braceforge.linmap import equation_entry, legwise
@@ -557,17 +558,19 @@ def _scalars(field, nonzero=False):
 
 
 @st.composite
-def _dense(draw, field, nrows, ncols):
+def _dense(draw, field, nrows, ncols, kinds=("dense", "single", "zero")):
     """Rows of a matrix whose columns are dense, single-entry (any nonzero
-    coefficient) or zero."""
+    coefficient), zero or, if kinds holds "unit", a single entry 1."""
     cols = []
     for _ in range(ncols):
-        kind = draw(st.sampled_from(["dense", "single", "zero"]))
+        kind = draw(st.sampled_from(kinds))
         col = [0] * nrows
         if kind == "dense":
             col = draw(st.lists(_scalars(field), min_size=nrows, max_size=nrows))
         elif kind == "single":
             col[draw(st.integers(0, nrows - 1))] = draw(_scalars(field, nonzero=True))
+        elif kind == "unit":
+            col[draw(st.integers(0, nrows - 1))] = 1
         cols.append(col)
     return [[cols[j][i] for j in range(ncols)] for i in range(nrows)]
 
@@ -632,6 +635,107 @@ def test_compose_tensor_and_equality_match_dense_oracle(data):
             assert hash(x) == hash(y)
 
 
+def _fused_agrees(m, field, ref):
+    _agrees(m, field, ref)
+    _assert_canonical(m)
+
+
+@given(st.data())
+def test_compose_through_a_tensor_matches_dense_oracle(data):
+    # compose reads a tensor operand through its factors; every shape it
+    # takes apart is held to the dense product of the dense Kronecker
+    # product, with non-monomial entries and sums that cancel
+    field = data.draw(_DENSE_FIELDS)
+    dim = lambda: data.draw(st.integers(1, 3))  # noqa: E731
+    kinds = ("dense", "single", "unit", "zero")  # unit: the shared-column paths
+    dense = lambda rows, cols: data.draw(_dense(field, rows, cols, kinds))  # noqa: E731
+    mk = lambda rows: LinMap.from_rows(field, rows)  # noqa: E731
+    g0, g1, h0, h1, n = dim(), dim(), dim(), dim(), dim()
+    gr, hr = dense(g0, g1), dense(h0, h1)
+    g, h = mk(gr), mk(hr)
+    gh = _ref_tensor(field, gr, hr)
+    fr, kr = dense(n, g0 * h0), dense(g1 * h1, n)
+    _fused_agrees(compose(mk(fr), tensor(g, h)), field, _ref_compose(field, fr, gh))
+    _fused_agrees(compose(tensor(g, h), mk(kr)), field, _ref_compose(field, gh, kr))
+    # (a (x) b) o (g (x) h), legs lined up: a takes g0 and b takes h0
+    ar, br = dense(n, g0), dense(n, h0)
+    ab = _ref_tensor(field, ar, br)
+    _fused_agrees(compose(tensor(mk(ar), mk(br)), tensor(g, h)),
+                  field, _ref_compose(field, ab, gh))
+    # legs not lined up: the left tensor splits its domain g0 * u * h0 as
+    # g0 | u * h0 and the right its codomain as g0 * u | h0, then the other
+    # way round
+    u = data.draw(st.integers(2, 3))
+    cr, dr = dense(g0 * u, g1), dense(h0, h1)
+    ar, br = dense(n, g0), dense(n, u * h0)
+    _fused_agrees(compose(tensor(mk(ar), mk(br)), tensor(mk(cr), mk(dr))),
+                  field, _ref_compose(field, _ref_tensor(field, ar, br),
+                                      _ref_tensor(field, cr, dr)))
+    cr, dr = dense(g0, g1), dense(u * h0, h1)
+    ar, br = dense(n, g0 * u), dense(n, h0)
+    _fused_agrees(compose(tensor(mk(ar), mk(br)), tensor(mk(cr), mk(dr))),
+                  field, _ref_compose(field, _ref_tensor(field, ar, br),
+                                      _ref_tensor(field, cr, dr)))
+    # a nested tensor (g (x) h) (x) e on either side of compose
+    er = dense(dim(), dim())
+    ghe = _ref_tensor(field, gh, er)
+    fr, kr = dense(n, len(ghe)), dense(len(ghe[0]), n)
+    _fused_agrees(compose(mk(fr), tensor(g, h, mk(er))), field, _ref_compose(field, fr, ghe))
+    _fused_agrees(compose(tensor(g, h, mk(er)), mk(kr)), field, _ref_compose(field, ghe, kr))
+    # cancelling sums: [F | -F] o ([x ; x] (x) h) and ([y y] (x) h) o [K ; -K]
+    # vanish, whichever entries x, y, F and K hold
+    xr, yr = dense(1, g1), dense(g0, 1)
+    Fr, Kr = dense(n, h0), dense(h1, n)
+    f = mk([row + [-v for v in row] for row in Fr])
+    k = mk(Kr + [[-v for v in row] for row in Kr])
+    zero = lambda rows, cols: [[0] * cols for _ in range(rows)]  # noqa: E731
+    _fused_agrees(compose(f, tensor(mk(xr + xr), h)), field, zero(n, g1 * h1))
+    _fused_agrees(compose(tensor(mk([r + r for r in yr]), h), k), field, zero(g0 * h0, n))
+
+
+def test_products_of_factor_entries_are_stored_canonical():
+    # x y is 1, but not in canonical form as a bare product: Fraction(1, 1)
+    # over Q, 6 over F_5; every shape compose takes apart must normalize it
+    for field, x, y in ((QQ, Fraction(1, 2), 2), (F5, 2, 3)):
+        one = LinMap.identity(field, Space(1))
+        xy = LinMap.from_rows(field, [[1]])
+        c = LinMap.from_rows(field, [[x], [0]])  # legs split 2 | 1 ...
+        b = LinMap.from_rows(field, [[1, 0]])  # ... and 1 | 2 on the left
+        X, Y = (LinMap.from_rows(field, [[v]]) for v in (x, y))
+        for m in (compose(one, tensor(X, Y)), compose(tensor(X, Y), one),
+                  compose(tensor(one, b), tensor(c, Y)),
+                  compose(tensor(X, one), tensor(Y, one))):
+            assert m == xy
+            _assert_canonical(m)
+
+
+def test_a_tensor_is_a_value():
+    # a tensor whose columns are not yet built compares, hashes, pickles and
+    # lists its entries as the same map built eagerly; its columns are
+    # built once and kept
+    rng = random.Random(23)
+    for field in (QQ, F5):
+        f, g = _sparse_map(rng, field, 3, 2, 0.6), _sparse_map(rng, field, 2, 4, 0.6)
+        for build in (lambda: tensor(f, g), lambda: tensor(g, f, g)):
+            t = build()
+            eager = LinMap(field, t.domain, t.codomain, dict(build().items()))
+            assert t.support_size() == eager.support_size()
+            assert hash(build()) == hash(eager) and build() == eager and eager == build()
+            assert sorted(build().items()) == sorted(eager.items())
+            assert build().rows() == eager.rows()
+            copy = pickle.loads(pickle.dumps(build()))
+            assert type(copy) is LinMap and copy == eager and hash(copy) == hash(eager)
+            assert t._cols is t._cols
+        # a memoized checker keyed on a record holding a tensor hits for the
+        # equal record of eager maps, and the other way round
+        h = group_algebra(cyclic(3), field)
+        padded = tensor(h.unit, LinMap.identity(field, Space(1)))
+        for first, second in ((replace(h, unit=padded), h), (h, replace(h, unit=padded))):
+            check_hopf.cache_clear()
+            assert check_hopf(first) is check_hopf(second)
+            assert check_hopf.cache_info()[:2] == (1, 1)  # hits, misses
+
+
 @given(st.data())
 def test_cancelling_columns_compose_to_the_zero_map(data):
     # [A | -A | C] o [B ; B ; E] = C E: the A B columns cancel, and where
@@ -671,6 +775,15 @@ def test_shared_columns_are_never_changed():
         _agrees(tensor(f, h), field, _ref_tensor(field, f.rows(), h.rows()))
         _agrees(compose(h, p, p), field,
                 _ref_compose(field, h.rows(), _ref_compose(field, p.rows(), p.rows())))
+        # read through a tensor's factors, f's columns are shared too
+        one = LinMap.identity(field, Space(1))
+        for padded in (compose(f, tensor(one, p)), compose(f, tensor(p, one))):
+            assert all(any(col is fcol for fcol in f._cols.values())
+                       for col in padded._cols.values())
+            assert padded == h
+        _agrees(compose(tensor(h, one), tensor(p, one), p), field,
+                _ref_compose(field, h.rows(), _ref_compose(field, p.rows(), p.rows())))
+        _agrees(compose(tensor(one, f), tensor(p, one)), field, h.rows())
         assert (h == f) == (perm == [0, 1, 2, 3])
         assert first_difference(h, f) is not None
         copy = pickle.loads(pickle.dumps(h))
