@@ -36,11 +36,12 @@ f o (id (x) g) or (g (x) id) o k costs one pass over the columns of the
 result, and two tensors whose legs line up compose leg by leg, into a
 tensor again.  A tensor's own columns are built once, when something
 first reads them (==, hash, items, entry, rows, legwise, storage or
-pickling), by making the shifted copy of the right factor's columns once
-per entry of the left factor.  legwise builds its result one output column
-at a time, from the columns of c1, c2, the braiding, f and g that the
-column reaches; it never builds f (x) g, c1 (x) c2, id (x) c (x) id or a
-composite of them, whose dimension is the fourth power of the carrier's.
+pickling), column by column from the factors' columns, by the routine
+that compose streams a misaligned tensor through.  legwise builds its
+result one output column at a time, from the columns of c1, c2, the
+braiding, f and g that the column reaches; it never builds f (x) g,
+c1 (x) c2, id (x) c (x) id or a composite of them, whose dimension is the
+fourth power of the carrier's.
 Products are summed with plain + and *, and each output entry is brought
 into the field's canonical form once, by field.normalize.  All values are
 immutable after construction, so a LinMap hashes once and can key a cache.
@@ -545,8 +546,9 @@ def _normalized(acc: dict, norm) -> dict:
 
 def _factor_columns(gcols, h: LinMap, norm):
     """The nonzero columns (x, y) of g (x) h, g(e_x) (x) h(e_y), for the
-    columns (x, g(e_x)) of g given, as (j, column) pairs.  They are made
-    one at a time and not kept."""
+    columns (x, g(e_x)) of g given, as (j, column) pairs, made one at a
+    time.  compose streams them and keeps none; a _Tensor keeps them all as
+    its own columns."""
     hc, hd = h.codomain.dim, h.domain.dim
     hcols = h._cols.items()
     for x, gcol in gcols:
@@ -576,8 +578,8 @@ def tensor(*maps: LinMap) -> LinMap:
 
 class _Tensor(LinMap):
     """f (x) g, held as the pair of its factors.  compose reads it through
-    them.  Its columns are built by _tensor2 on their first read (by ==,
-    hash, items, entry, rows, legwise, storage or pickling) and kept."""
+    them.  Its columns are built on their first read (by ==, hash, items,
+    entry, rows, legwise, storage or pickling) and kept."""
 
     __slots__ = ("_factors",)
 
@@ -591,62 +593,14 @@ class _Tensor(LinMap):
         # reached only for a slot not yet set, so _cols only before its first read
         if name != "_cols":
             raise AttributeError(name)
-        cols = _tensor2(*self._factors)
+        f, g = self._factors
+        cols = dict(_factor_columns(f._cols.items(), g, self.field.normalize))
         object.__setattr__(self, "_cols", cols)
         return cols
 
     def support_size(self) -> int:
         f, g = self._factors
         return f.support_size() * g.support_size()
-
-
-def _tensor2(f: LinMap, g: LinMap) -> dict:
-    """The columns of f (x) g: column (fj, gj) stacks column gj of g,
-    moved down to block fi and scaled by f[fi, fj], for each entry of
-    column fj of f.  The blocks of one entry of f serve every column of f
-    that holds that entry, shared, not copied."""
-    gc, gd = g.codomain.dim, g.domain.dim
-    norm = f.field.normalize
-    gjs = list(g._cols)
-    gitems = [tuple(col.items()) for col in g._cols.values()]
-    blocks_of = {}
-    cols = {}
-    for fj, fcol in f._cols.items():
-        blocks = []
-        for fi, fv in fcol.items():
-            block = blocks_of.get((fi, fv))
-            if block is None:
-                block = blocks_of[fi, fv] = _blocks(gitems, fi * gc, fv, norm)
-            blocks.append(block)
-        base = fj * gd
-        if len(blocks) == 1:
-            for gj, col in zip(gjs, blocks[0]):
-                cols[base + gj] = col
-            continue
-        for t, gj in enumerate(gjs):  # blocks of distinct rows of f are disjoint
-            col = {}
-            for block in blocks:
-                col.update(block[t])
-            cols[base + gj] = col
-    return cols
-
-
-def _blocks(gitems: list, offset: int, scale, norm) -> list[dict]:
-    """Each column of g, given by its items, with its rows moved down by
-    offset and its values multiplied by scale (nonzero, so no product
-    vanishes)."""
-    out = []
-    if scale == 1:
-        for items in gitems:
-            if len(items) == 1:
-                ((i, v),) = items
-                out.append({offset + i: v})
-            else:
-                out.append({offset + i: v for i, v in items})
-    else:
-        for items in gitems:
-            out.append({offset + i: norm(scale * v) for i, v in items})
-    return out
 
 
 @memoize

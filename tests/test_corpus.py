@@ -262,10 +262,25 @@ def test_order_8_corpus_one_brace_per_stratum():
         assert [name for name, ok in verdicts if not ok] == [], key
 
 
+def _on_tensor_build(monkeypatch, record):
+    """Call record(t) for each tensor t whose columns are built: a tensor
+    builds them on the first read of its _cols, from its two factors."""
+    getattr_ = linmap._Tensor.__getattr__
+
+    def counting_getattr(self, name):
+        if name == "_cols":
+            record(self)
+        return getattr_(self, name)
+
+    monkeypatch.setattr(linmap._Tensor, "__getattr__", counting_getattr)
+
+
 def test_order_8_row_builds_no_map_on_the_fourth_tensor_power(monkeypatch):
     # Every map a row needs lives on at most three tensor factors of the
     # carrier: legwise reads the braiding instead of padding it to H^(x)4.
     # From cold caches, so that no memoized map built earlier hides one.
+    # A tensor sets its own columns when first read, so its builds are
+    # counted too.
     clear_caches()
     widest = []
     raw, init = linmap._raw, LinMap.__init__
@@ -280,6 +295,8 @@ def test_order_8_row_builds_no_map_on_the_fourth_tensor_power(monkeypatch):
 
     monkeypatch.setattr(linmap, "_raw", counting_raw)
     monkeypatch.setattr(LinMap, "__init__", counting_init)
+    _on_tensor_build(monkeypatch,
+                     lambda t: widest.append(max(t.domain.dim, t.codomain.dim)))
     s = enumerate_skew_braces(groups_of_order(8)[3])[-1]
     assert s.circ != s.dot
     b = linearize(s, F5)
@@ -293,30 +310,29 @@ def test_order_8_checks_build_no_identity_padding(monkeypatch):
     # columns of a tensor with an identity factor.  Builds are counted, not
     # tensor calls, from cold caches.
     built = []
-    build = linmap._tensor2
-
-    def counting_build(f, g):
-        built.append((f, g))
-        return build(f, g)
 
     def is_identity(m):
         return m.domain == m.codomain and m == LinMap.identity(m.field, m.domain)
 
-    monkeypatch.setattr(linmap, "_tensor2", counting_build)
+    _on_tensor_build(monkeypatch, lambda t: built.append(t._factors))
     clear_caches()
     s = enumerate_skew_braces(groups_of_order(8)[3])[-1]
     assert [name for name, ok in row_verdicts(linearize(s, F5)) if not ok] == []
     row_builds = len(built)
     clear_caches()
     b = trivial_brace(group_algebra(groups_of_order(8)[2], QQ))
-    entries = dict(b.product1.items())
-    key = sorted(entries)[5]
-    entries[key] *= 2
-    mutant = dataclasses.replace(b, product1=LinMap(
-        QQ, b.product1.domain, b.product1.codomain, entries))
-    entry = check_hopf_brace(mutant).entry("first.bialgebra.product.counit")
-    assert entry.witness == {"kind": "entry", "row": 0, "col": key[1],
+    (_, col), _ = sorted(b.product1.items())[5]
+    entry = check_hopf_brace(dataclasses.replace(
+        b, product1=_doubled(b.product1, 5))).entry("first.bialgebra.product.counit")
+    assert entry.witness == {"kind": "entry", "row": 0, "col": col,
                              "left": "2", "right": "1"}
-    assert row_builds > 0 and len(built) > row_builds  # the counter sees builds
+    brace_builds = len(built)
+    clear_caches()
+    t = functor_Q(b)
+    (_, col), _ = sorted(t.action.items())[5]
+    entry = check_obt(dataclasses.replace(t, action=_doubled(t.action, 5))).entry("i")
+    assert entry.witness == {"kind": "entry", "row": 0, "col": col,
+                             "left": "2", "right": "1"}
+    assert 0 < row_builds < brace_builds < len(built)  # the counter sees builds
     assert [(f.shape(), g.shape()) for f, g in built
             if is_identity(f) or is_identity(g)] == []
