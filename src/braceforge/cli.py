@@ -24,9 +24,10 @@ from .matched import (check_matched_pair, functor_F, functor_G,
                       obt_from_matched_pair, roundtrip_FG, roundtrip_GF)
 from .obt import check_obt, functor_P, functor_Q, roundtrip_PQ, roundtrip_QP
 from .report import AxiomReport
-from .skewbraces import (ENUMERATION_ORDER_BOUND, SkewBraceData, builtin_group,
-                         builtin_order, check_group, check_skew_brace,
-                         enumerate_skew_braces, groups_of_order, linearize)
+from .skewbraces import (ENUMERATION_ORDER_BOUND, SkewBraceData,
+                         _require_enumerable, builtin_group, builtin_order,
+                         check_group, check_skew_brace, enumerate_skew_braces,
+                         groups_of_order, linearize)
 from .suite import row_verdicts
 
 _CHECKERS = {
@@ -115,6 +116,7 @@ def _require_max_order(max_order: int) -> None:
 def _require_order(order: int, max_order: int) -> None:
     if order > max_order:
         raise OrderTooLarge(f"group order {order} exceeds --max-order {max_order}")
+    _require_enumerable(order)
 
 
 def _cmd_enumerate(args) -> int:

@@ -140,6 +140,7 @@ def require_valid_mp_over_A(m: MatchedPairData) -> None:
 # ---------------------------------------------------------------------------
 # functors between braces and diagonal matched pairs
 
+@memoize
 def functor_F(b: HopfBraceData) -> MatchedPairData:
     """Brace to diagonal matched pair: the second structure acting on
     itself by gamma (left) and phi (right)."""

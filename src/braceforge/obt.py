@@ -154,6 +154,7 @@ def functor_P(t: OppBraceTripleData) -> HopfBraceData:
     return _deformation_brace(t)
 
 
+@memoize
 def functor_Q(b: HopfBraceData) -> OppBraceTripleData:
     """Brace to triple: the second structure with the action
     m = gamma o (antipode2 (x) id) and involution antipode1."""

@@ -9,11 +9,12 @@ checker's verdict embeds its entries under a name prefix (``prefixed``); a
 construction gated on a verdict calls ``require``, which raises with the
 report attached.
 
-Since nothing in a report or a LinMap can change, the gate checkers hand
-one report, and gamma, psi, mu_tilde and braiding one map, to every caller:
-``memoize`` keeps the last MEMO_SIZE results per function, keyed on the
-argument records themselves, which compare and hash by their structure maps
-(or tables), never by their ``meta``, so equal structures share one result.
+Since nothing in a report, a LinMap or a record can change, the gate
+checkers hand one report, gamma, psi, mu_tilde and braiding one map, and
+functor_F and functor_Q one record, to every caller: ``memoize`` keeps the
+last MEMO_SIZE results per function, keyed on the argument records
+themselves, which compare and hash by their structure maps (or tables),
+never by their ``meta``, so equal structures share one result.
 """
 from __future__ import annotations
 

@@ -413,6 +413,13 @@ def check_skew_brace(s: SkewBraceData) -> AxiomReport:
     return AxiomReport((_law("compatibility", _compat_witness(s.dot, s.circ)),))
 
 
+def _require_enumerable(order: int) -> None:
+    if order > ENUMERATION_ORDER_BOUND:
+        raise OrderTooLarge(
+            f"enumeration is guarded at order {ENUMERATION_ORDER_BOUND}, "
+            f"got {order}")
+
+
 def enumerate_skew_braces(dot: CayleyTable) -> list[SkewBraceData]:
     """All skew braces with the given dot group, sorted by circ table.
 
@@ -421,10 +428,7 @@ def enumerate_skew_braces(dot: CayleyTable) -> list[SkewBraceData]:
     checked against the compatibility law once more.  Guarded at
     ENUMERATION_ORDER_BOUND.
     """
-    if dot.order > ENUMERATION_ORDER_BOUND:
-        raise OrderTooLarge(
-            f"enumeration is guarded at order {ENUMERATION_ORDER_BOUND}, "
-            f"got {dot.order}")
+    _require_enumerable(dot.order)
     check_group(dot).require(NotAGroup, "dot table fails the group axioms")
     tbl = dot.table
     circs = sorted(tuple(tuple(tbl[a][lam_a[b]] for b in range(dot.order))

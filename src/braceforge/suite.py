@@ -2,14 +2,12 @@
 
 A row checks the paper's two equivalences on one Hopf brace b: the triple
 t = Q(b) and the brace P(t), and the matched pair m = F(b) and the brace
-G(m).  Each of these images is built once per row.  Every record compares
-by its structure maps, never by its meta, so a roundtrip verdict is the
-equality of the rebuilt record with the original.  F and Q are functions
-of the structure maps, so p == b already gives Q(p) == t, and g == b gives
-F(g) == m and Q(g) == t; only a rebuilt brace that differs from b goes
-through F or Q again.  The witnesses of a failing roundtrip come from
-roundtrip_PQ, roundtrip_QP, roundtrip_FG and roundtrip_GF, which
-`braceforge roundtrip` runs.
+G(m).  Every record compares by its structure maps, never by its meta, so
+each roundtrip verdict is the paper's equation between the rebuilt record
+and the original.  F and Q are memoized, so a passing row builds each of
+F(b), Q(b), P(t) and G(m) once.  The witnesses of a failing roundtrip
+come from roundtrip_PQ, roundtrip_QP, roundtrip_FG and roundtrip_GF,
+which `braceforge roundtrip` runs.
 """
 from __future__ import annotations
 
@@ -40,9 +38,9 @@ def row_verdicts(b: HopfBraceData) -> Iterator[tuple[str, bool]]:
     yield "deformed_hopf", check_hopf(p.first()).ok
     yield "deformed_product", p.product1 == b.product1
     yield "roundtrip_PQ", p == b
-    yield "roundtrip_QP", p == b or functor_Q(p) == t
+    yield "roundtrip_QP", functor_Q(p) == t
     yield "matched_pair", mp.ok
     g = functor_G(m)
-    yield "roundtrip_FG", g == b or functor_F(g) == m
+    yield "roundtrip_FG", functor_F(g) == m
     yield "roundtrip_GF", g == b
-    yield "obt_from_mp", obt_from_matched_pair(m) == (t if g == b else functor_Q(g))
+    yield "obt_from_mp", obt_from_matched_pair(m) == functor_Q(g)

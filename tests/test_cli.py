@@ -261,6 +261,15 @@ def test_enumerate_order_guard_exits_3(files, capsys):
                        "--max-order", "4", capsys=capsys)
     assert code == 3
     assert "precondition:" in err
+    # a group file past the library bound is refused before -o is created
+    d = files["dir"]
+    save(cyclic(9), d / "z9.json")
+    code, out, err = run("enumerate", "skew-braces", "--group",
+                         str(d / "z9.json"), "--max-order", "20",
+                         "-o", str(d / "out"), capsys=capsys)
+    assert (code, out) == (3, "")
+    assert err == "precondition: enumeration is guarded at order 8, got 9\n"
+    assert not (d / "out").exists()
 
 
 def test_enumerate_order_guard_precedes_the_cyclic_table(capsys, monkeypatch):
@@ -271,10 +280,14 @@ def test_enumerate_order_guard_precedes_the_cyclic_table(capsys, monkeypatch):
         return small(n)
 
     monkeypatch.setattr(braceforge.skewbraces, "cyclic", cyclic_up_to_8)
-    code, out, err = run("enumerate", "skew-braces", "--group",
-                         "builtin:Z100000", capsys=capsys)
-    assert (code, out) == (3, "")
-    assert err == "precondition: group order 100000 exceeds --max-order 8\n"
+    for bound, want in (
+            ((), "group order 100000 exceeds --max-order 8"),
+            (("--max-order", "100000"),
+             "enumeration is guarded at order 8, got 100000")):
+        code, out, err = run("enumerate", "skew-braces", "--group",
+                             "builtin:Z100000", *bound, capsys=capsys)
+        assert (code, out) == (3, "")
+        assert err == f"precondition: {want}\n"
 
 
 def test_enumerate_output_onto_a_file_exits_2(files, capsys):
@@ -344,6 +357,27 @@ def test_suite_small(capsys):
     assert lines[-1] == "suite: 6/6 pass (max order 3, field Q)"
     assert sum(1 for l in lines if l.startswith("PASS")) == 6
     assert any("(13 checks)" in l for l in lines)
+
+
+def test_suite_failing_row_names_its_verdicts_and_exits_1(capsys, monkeypatch):
+    monkeypatch.delenv("BRACE_FORGE_THREADS", raising=False)
+    verdicts = braceforge.cli.row_verdicts
+
+    def lemma_fails_on_z2(b):
+        for name, ok in verdicts(b):
+            yield name, ok and not (name == "lemma" and b.space.dim == 2)
+
+    monkeypatch.setattr(braceforge.cli, "row_verdicts", lemma_fails_on_z2)
+    code, out, _ = run("suite", "--max-order", "3", capsys=capsys)
+    assert code == 1
+    assert out.splitlines() == [
+        "PASS  Z1 group-algebra             (1 checks)",
+        "PASS  Z2 group-algebra             (1 checks)",
+        "PASS  Z3 group-algebra             (1 checks)",
+        "PASS  Z1#0 Q                       (13 checks)",
+        "FAIL  Z2#0 Q                       [lemma]",
+        "PASS  Z3#0 Q                       (13 checks)",
+        "suite: 5/6 pass (max order 3, field Q)"]
 
 
 # sha256 of the serial `suite --max-order 8` stdout: the whole order <= 8

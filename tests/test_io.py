@@ -219,6 +219,19 @@ def test_rejects_second_component_shaped_for_dim():
 
 
 def test_rejects_schema_violations():
+    with pytest.raises(SchemaError, match=r"^top level must be an object$"):
+        loads("[]")
+
+    doc = hopf_doc()
+    doc["maps"] = []
+    with pytest.raises(SchemaError, match=r"^maps must be an object$"):
+        loads(json.dumps(doc))
+
+    doc = hopf_doc()
+    doc["field"] = 5
+    with pytest.raises(SchemaError, match=r"^field must be a string spec$"):
+        loads(json.dumps(doc))
+
     doc = hopf_doc()
     doc["surprise"] = 1
     with pytest.raises(SchemaError):
@@ -277,6 +290,18 @@ def test_rejects_bad_group_documents():
     t = to_document(symmetric_3())
     t["order"] = 5
     with pytest.raises(ShapeError):
+        loads(json.dumps(t))
+
+    for identity in (6, True):
+        t = to_document(symmetric_3())
+        t["identity"] = identity
+        with pytest.raises(SchemaError,
+                           match=r"^identity must be an index in \[0, order\)$"):
+            loads(json.dumps(t))
+
+    t = to_document(symmetric_3())
+    t["table"][0].pop()
+    with pytest.raises(ShapeError, match=r"^table\[0\]: expected 6 columns$"):
         loads(json.dumps(t))
 
 

@@ -167,6 +167,9 @@ def test_coerce_rejects_floats_and_bools():
     with pytest.raises(TypeError):
         F5.coerce(True)
     assert F5.coerce(-3) == 2
+    for field, zero in ((QQ, 0), (F5, 10)):
+        with pytest.raises(ZeroDivisionError, match=r"^inverse of zero$"):
+            field.inv(zero)
 
 
 # -- LinMap basics -----------------------------------------------------------
@@ -188,6 +191,10 @@ def test_from_rows_rejects_ragged_and_mismatched():
         LinMap.from_rows(QQ, [[1]], domain=Space(2))
     with pytest.raises(DimensionMismatch):
         LinMap(QQ, Space(2), Space(2), {(2, 0): 1})
+    for rows in ([], [[]]):
+        with pytest.raises(DimensionMismatch,
+                           match=r"^matrix needs at least one row and column$"):
+            LinMap.from_rows(QQ, rows)
 
 
 def test_constructor_rejects_non_integer_indices():
@@ -204,6 +211,8 @@ def test_entry_rejects_non_integer_indices():
     for i, j in ((0.5, 0), (0, 0.5), (True, 1), (1, True), ("0", 0), (0, 1.0)):
         with pytest.raises(DimensionMismatch):
             m.entry(i, j)
+    with pytest.raises(DimensionMismatch, match=r"^entry \(2,0\) outside 2x2$"):
+        m.entry(2, 0)
     assert (m.entry(1, 1), m.entry(1, 0)) == (1, 0)
 
 
@@ -220,6 +229,7 @@ def test_linmap_immutable_and_hashable():
     assert m == LinMap.from_rows(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert hash(m) == hash(LinMap.identity(QQ, Space(3)))
     assert m != LinMap.identity(F5, Space(3))
+    assert m != 1 and not m == 1
     # built apart: from rows with a Fraction, by compose; the hash is kept
     h = group_algebra(cyclic(3), QQ)
     a = LinMap.from_rows(QQ, [[Fraction(2, 2), 0, 0], [0, 0, 1], [0, 1, 0]])
@@ -293,6 +303,10 @@ def test_compose_shape_and_field_errors():
         compose(f, LinMap.identity(F5, Space(3)))
     with pytest.raises(FieldMismatch):
         tensor(f, LinMap.identity(F5, Space(3)))
+    for op in (compose, tensor):
+        with pytest.raises(ValueError,
+                           match=rf"^{op.__name__} needs at least one map$"):
+            op()
 
 
 def test_compose_names_the_leftmost_mismatch():

@@ -1,15 +1,16 @@
-"""The verdict caches and the cached derived maps.
+"""The verdict caches, the cached derived maps and the cached functors.
 
 check_hopf, check_hopf_brace, check_obt, check_mp_over_A, the module
 axioms behind check_left_module and check_right_module, and
-is_cocommutative keep their last MEMO_SIZE verdicts, and gamma, psi,
-mu_tilde and braiding their last MEMO_SIZE maps, keyed on the record
-itself, which compares and hashes by its structure maps and never by its
-meta.  A warm call must return what an uncached call returns, witnesses
-included; the key must tell apart maps that differ only in their field; a
-raising call stores nothing; and the cache stays within its bound.  From
-cold caches, one suite row builds each derived map once, however many of
-its checks and functors ask for it.
+is_cocommutative keep their last MEMO_SIZE verdicts, gamma, psi, mu_tilde
+and braiding their last MEMO_SIZE maps, and functor_F and functor_Q their
+last MEMO_SIZE records, keyed on the record itself, which compares and
+hashes by its structure maps and never by its meta.  A warm call must
+return what an uncached call returns, witnesses included; the key must
+tell apart maps that differ only in their field; a raising call stores
+nothing; and the cache stays within its bound.  From cold caches, one
+suite row builds each derived map and each functor image once, however
+many of its checks and functors ask for it.
 """
 import dataclasses
 import sys
@@ -36,7 +37,8 @@ from mutants import (broken_antipode, broken_brace, broken_matched_pair,
 
 F5 = PrimeField(5)
 MEMOIZED = (check_hopf, check_hopf_brace, check_obt, check_mp_over_A,
-            _check_module, is_cocommutative, braiding, gamma, psi, mu_tilde)
+            _check_module, is_cocommutative, braiding, gamma, psi, mu_tilde,
+            functor_F, functor_Q)
 
 
 @pytest.fixture(autouse=True)
@@ -47,12 +49,12 @@ def cold_caches():
 
 
 def test_the_memoized_functions_are_pinned():
-    """Adding a cache is a deliberate choice: these ten functions keep one."""
+    """Adding a cache is a deliberate choice: these twelve functions keep one."""
     found = memoized_functions()
     assert sorted(found) == sorted([
         "check_hopf", "check_hopf_brace", "check_obt", "check_mp_over_A",
         "_check_module", "is_cocommutative", "braiding", "gamma", "psi",
-        "mu_tilde"])
+        "mu_tilde", "functor_F", "functor_Q"])
     assert all(found[fn.__name__] is fn for fn in MEMOIZED)
 
 
@@ -74,7 +76,8 @@ def _calls():
     """(function name, input): every order <= 4 linearized brace over Q and
     Fp:5 with its Q and F images, one-constant mutants of each, and the
     mutants of tests/mutants.py, each given to its checker and to the
-    derived map it is built on."""
+    derived map it is built on; every brace given to check_hopf_brace also
+    goes to functor_F and functor_Q."""
     out = []
     for spec in ("Q", "Fp:5"):
         for order in range(1, 5):
@@ -100,9 +103,9 @@ def _calls():
             for a in ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii")]
     out += [("check_mp_over_A", broken_matched_pair(a))
             for a in ("i", "ii", "iii", "iv", "v", "vi")]
-    derived = {"check_hopf_brace": "gamma", "check_obt": "mu_tilde",
-               "check_mp_over_A": "psi"}
-    return out + [(derived[name], x) for name, x in out if name in derived]
+    derived = {"check_hopf_brace": ("gamma", "functor_F", "functor_Q"),
+               "check_obt": ("mu_tilde",), "check_mp_over_A": ("psi",)}
+    return out + [(fn, x) for name, x in out for fn in derived.get(name, ())]
 
 
 def _outcome(name: str, x):
@@ -186,13 +189,14 @@ def test_suite_row_verifies_each_module_structure_once():
 def test_suite_row_builds_each_image_once(count_calls):
     """From cold caches, an order-6 row over Q or Fp:5 builds F(b), Q(b),
     P(Q(b)) and G(F(b)) once each, and no other F or Q: a passing row has
-    P(Q(b)) == b and G(F(b)) == b, so its QP, FG and obt_from_mp verdicts
-    reuse Q(b) and F(b).  It also builds gamma, psi and mu_tilde once each:
-    gamma serves check_hopf_brace, check_brace_identities, F's two actions
-    and Q; psi the matched pair axioms and the interweaving identity;
-    mu_tilde check_obt, the recovery lemma, P and G.  Every later call is a
-    cache hit, so these count builds, not calls."""
-    calls = count_calls(functor_F, functor_G, functor_P, functor_Q)
+    P(Q(b)) == b and G(F(b)) == b, so the F and Q of its QP, FG and
+    obt_from_mp verdicts are cache hits on F(b) and Q(b).  It also builds
+    gamma, psi and mu_tilde once each: gamma serves check_hopf_brace,
+    check_brace_identities, F's two actions and Q; psi the matched pair
+    axioms and the interweaving identity; mu_tilde check_obt, the recovery
+    lemma, P and G.  G and P are counted by calls; the cached functions by
+    cache misses, since a cache hit builds nothing."""
+    calls = count_calls(functor_G, functor_P)
     rows = [linearize(s, field) for field in (QQ, F5)
             for g in groups_of_order(6) for s in enumerate_skew_braces(g)]
     assert len(rows) == 20
@@ -200,11 +204,11 @@ def test_suite_row_builds_each_image_once(count_calls):
         clear_caches()
         calls.update(dict.fromkeys(calls, 0))
         assert all(ok for _, ok in row_verdicts(b))
-        assert calls == {"functor_F": 1, "functor_G": 1, "functor_P": 1,
-                         "functor_Q": 1}
+        assert calls == {"functor_G": 1, "functor_P": 1}
         builds = {fn.__name__: fn.cache_info().misses
-                  for fn in (gamma, psi, mu_tilde)}
-        assert builds == {"gamma": 1, "psi": 1, "mu_tilde": 1}
+                  for fn in (functor_F, functor_Q, gamma, psi, mu_tilde)}
+        assert builds == {"functor_F": 1, "functor_Q": 1, "gamma": 1,
+                          "psi": 1, "mu_tilde": 1}
 
 
 def test_each_call_builds_its_shared_map_once():

@@ -335,6 +335,9 @@ def test_prefixed_renames_a_copy():
     assert [(e.passed, e.witness) for e in out] == \
         [(e.passed, e.witness) for e in rep.entries]
     assert (str(rep), rep.to_dict()) == before
+    with pytest.raises(KeyError) as missing:
+        rep.entry("first.a")
+    assert missing.value.args == ("first.a",)
 
 
 @pytest.mark.parametrize("exc_type", [PrereqFailed, NotAGroup, BraceAxiomsFailed,
