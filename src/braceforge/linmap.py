@@ -687,20 +687,16 @@ def first_difference(f: LinMap, g: LinMap) -> dict | None:
     fcols, gcols = f._cols, g._cols
     if fcols == gcols:
         return None
-    fmt = f.field.format
+    # Canonical columns hold no zeros, so unequal maps have a first column
+    # whose dicts differ, and in it a first row whose entries differ.
+    j = next(j for j in sorted(fcols.keys() | gcols.keys())
+             if fcols.get(j, _NO_COLUMN) != gcols.get(j, _NO_COLUMN))
+    a, b = fcols.get(j, _NO_COLUMN), gcols.get(j, _NO_COLUMN)
     zero = f.field.zero()
-    for j in sorted(fcols.keys() | gcols.keys()):
-        a = fcols.get(j, _NO_COLUMN)
-        b = gcols.get(j, _NO_COLUMN)
-        if a == b:
-            continue
-        for i in sorted(a.keys() | b.keys()):
-            x = a.get(i, zero)
-            y = b.get(i, zero)
-            if x != y:
-                return {"kind": "entry", "row": i, "col": j,
-                        "left": fmt(x), "right": fmt(y)}
-    return None
+    i = min(i for i in a.keys() | b.keys() if a.get(i, zero) != b.get(i, zero))
+    fmt = f.field.format
+    return {"kind": "entry", "row": i, "col": j,
+            "left": fmt(a.get(i, zero)), "right": fmt(b.get(i, zero))}
 
 
 def equal(f: LinMap, g: LinMap) -> tuple[bool, dict | None]:

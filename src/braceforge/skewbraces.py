@@ -387,14 +387,14 @@ class SkewBraceData:
 
 
 def _compat_witness(dot: CayleyTable, circ: CayleyTable) -> dict | None:
-    """First (a, b, c) violating a circ (b dot c) = (a circ b) dot inv(a) dot (a circ c)."""
+    """First (a, b, c) violating a circ (b dot c) = (a circ b) dot inv(a) dot (a circ c).
+
+    dot must be a group, so every inverse exists: both callers run
+    check_group on it first."""
     n = dot.order
     dt, ct = dot.table, circ.table
-    inv = [dot.inverse(a) for a in range(n)]
     for a in range(n):
-        ia = inv[a]
-        if ia is None:
-            return {"a": a, "reason": "no dot inverse"}
+        ia = dot.inverse(a)
         ca = ct[a]
         for b in range(n):
             ab = ca[b]

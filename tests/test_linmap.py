@@ -13,7 +13,7 @@ from braceforge import (LinMap, PrimeField, QQ, Space, braiding, check_hopf,
                         compose, cyclic, equal, first_difference, group_algebra,
                         groups_of_order, parse_field, tensor)
 from braceforge.errors import DimensionMismatch, FieldMismatch
-from braceforge.linmap import equation_entry, legwise
+from braceforge.linmap import _factor_columns, equation_entry, legwise
 from braceforge.report import CheckEntry
 
 F5 = PrimeField(5)
@@ -239,6 +239,17 @@ def test_linmap_immutable_and_hashable():
     for x in (a, b):
         copy = pickle.loads(pickle.dumps(x))
         assert copy == x and hash(copy) == hash(x)
+
+
+def test_repr_names_field_shape_and_support(count_calls):
+    a = LinMap.from_rows(QQ, [[1, 0], [0, Fraction(1, 2)], [3, 0]])
+    assert repr(a) == "LinMap(Q, 3x2, nnz=3)"
+    # a lazy tensor counts its support from its factors, building no column
+    built = count_calls(_factor_columns)
+    t = tensor(a, LinMap.identity(QQ, Space(2)))
+    assert repr(t) == "LinMap(Q, 6x4, nnz=6)"
+    assert built == {"_factor_columns": 0}
+    assert repr(LinMap.zero(F5, Space(2), Space(1))) == "LinMap(Fp:5, 1x2, nnz=0)"
 
 
 def _random_map(rng, field, dom, cod):
@@ -513,6 +524,26 @@ def test_legwise_builds_no_kronecker_product(count_calls):
     assert legwise(h.product, h.product, h.coproduct, h.coproduct) == first
     assert counts == {"tensor": 0, "compose": 0}
     assert braiding.cache_info()[:2] == (1, 1)
+
+
+@given(st.data())
+def test_legwise_absorbs_a_map_into_an_identity_leg(data):
+    # legwise(f, g, c1, id) o (id (x) k) = legwise(f, g, c1, k), and the
+    # mirror in c1: why a module-coalgebra law's tensor-square route and
+    # its coalgebra-morphism route are one map, whatever the maps
+    field = data.draw(st.sampled_from([QQ, F5, F7]))
+    dim = lambda: data.draw(st.integers(1, 2))  # noqa: E731
+    na, nb, nx, ny, nf, ng = dim(), dim(), dim(), dim(), dim(), dim()
+    kinds = ("dense", "single", "unit", "zero")
+    mk = lambda rows, cols: LinMap.from_rows(  # noqa: E731
+        field, data.draw(_dense(field, rows, cols, kinds)))
+    f, g = mk(nf, na * nb), mk(ng, na * nb)
+    c1, c2 = mk(na * na, nx), mk(nb * nb, ny)
+    ka, kb = mk(na * na, nx), mk(nb * nb, ny)
+    id_a2, id_b2 = (LinMap.identity(field, Space(n * n)) for n in (na, nb))
+    id_x, id_y = LinMap.identity(field, Space(nx)), LinMap.identity(field, Space(ny))
+    assert compose(legwise(f, g, c1, id_b2), tensor(id_x, kb)) == legwise(f, g, c1, kb)
+    assert compose(legwise(f, g, id_a2, c2), tensor(ka, id_y)) == legwise(f, g, ka, c2)
 
 
 def test_first_difference_frozen_witness():
