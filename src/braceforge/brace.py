@@ -10,10 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import BraceAxiomsFailed, PrereqFailed
-from .hopf import (HopfAlgebraData, _check_maps, check_hopf,
-                   check_hopf_morphism, deform, require_cocommutative)
-from .linmap import (LinMap, Space, braiding, compose, equation_entry,
-                     legwise, tensor)
+from .hopf import (HopfAlgebraData, _Record, check_hopf, check_hopf_morphism,
+                   deform, require_cocommutative)
+from .linmap import LinMap, braiding, compose, equation_entry, legwise, tensor
 from .report import AxiomReport, memoize
 
 
@@ -23,7 +22,7 @@ BRACE_MAPS = ("unit", "counit", "coproduct",
 
 
 @dataclass(frozen=True)
-class HopfBraceData:
+class HopfBraceData(_Record):
     """Two Hopf structures on the carrier of the unit, over its field."""
 
     unit: LinMap
@@ -35,16 +34,18 @@ class HopfBraceData:
     antipode2: LinMap
     meta: dict | None = field(default=None, compare=False)
 
-    def __post_init__(self):
-        _check_maps(self, BRACE_MAPS, self.space.dim, self.field)
+    _MAPS = BRACE_MAPS
 
-    @property
-    def space(self) -> Space:
-        return self.unit.codomain
+    @classmethod
+    def of(cls, first: HopfAlgebraData, second: HopfAlgebraData) -> HopfBraceData:
+        """The brace whose first() is first and whose second() carries
+        second's product and antipode; the inverse of first()/second().
 
-    @property
-    def field(self):
-        return self.unit.field
+        Unit and coalgebra are read from first only, so second must be a
+        Hopf algebra on the same unit and coalgebra; that is not checked.
+        """
+        return cls(first.unit, first.counit, first.coproduct, first.product,
+                   first.antipode, second.product, second.antipode)
 
     def first(self) -> HopfAlgebraData:
         return HopfAlgebraData(self.unit, self.product1, self.counit,
@@ -124,10 +125,7 @@ def check_brace_identities(b: HopfBraceData) -> AxiomReport:
 def trivial_brace(h: HopfAlgebraData) -> HopfBraceData:
     """Both structures equal to the given Hopf algebra."""
     check_hopf(h).require(PrereqFailed, "trivial brace is gated on check_hopf")
-    return HopfBraceData(
-        unit=h.unit, counit=h.counit, coproduct=h.coproduct,
-        product1=h.product, antipode1=h.antipode,
-        product2=h.product, antipode2=h.antipode)
+    return HopfBraceData.of(h, h)
 
 
 def check_brace_morphism(f: LinMap, src: HopfBraceData,

@@ -47,19 +47,16 @@ def _shapes(names: tuple[str, ...], n: int) -> dict[str, tuple[int, int]]:
     return {name: tuple(n ** k for k in MAP_SHAPES[name]) for name in names}
 
 
-def _check_maps(record, names: tuple[str, ...], n: int, field) -> None:
-    """Shape and field of each named map of record, in order."""
-    for name, shape in _shapes(names, n).items():
-        _check_map(getattr(record, name), shape, field, name)
+class _Record:
+    """Structure maps on one carrier, whose space and field are the unit's
+    unless a subclass reads them elsewhere.  Construction checks the shape
+    and field of each map that _MAPS names, in that order."""
 
-
-@dataclass(frozen=True)
-class AlgebraData:
-    unit: LinMap
-    product: LinMap
+    _MAPS: tuple[str, ...]
 
     def __post_init__(self):
-        _check_maps(self, ("unit", "product"), self.space.dim, self.field)
+        for name, shape in _shapes(self._MAPS, self.space.dim).items():
+            _check_map(getattr(self, name), shape, self.field, name)
 
     @property
     def space(self) -> Space:
@@ -71,12 +68,19 @@ class AlgebraData:
 
 
 @dataclass(frozen=True)
-class CoalgebraData:
+class AlgebraData(_Record):
+    unit: LinMap
+    product: LinMap
+
+    _MAPS = ("unit", "product")
+
+
+@dataclass(frozen=True)
+class CoalgebraData(_Record):
     counit: LinMap
     coproduct: LinMap
 
-    def __post_init__(self):
-        _check_maps(self, ("counit", "coproduct"), self.space.dim, self.field)
+    _MAPS = ("counit", "coproduct")
 
     @property
     def space(self) -> Space:
@@ -88,7 +92,7 @@ class CoalgebraData:
 
 
 @dataclass(frozen=True)
-class HopfAlgebraData:
+class HopfAlgebraData(_Record):
     """The five structure maps on the carrier of the unit, over its field."""
 
     unit: LinMap
@@ -98,16 +102,7 @@ class HopfAlgebraData:
     antipode: LinMap
     meta: dict | None = field(default=None, compare=False)
 
-    def __post_init__(self):
-        _check_maps(self, HOPF_MAPS, self.space.dim, self.field)
-
-    @property
-    def space(self) -> Space:
-        return self.unit.codomain
-
-    @property
-    def field(self):
-        return self.unit.field
+    _MAPS = HOPF_MAPS
 
     @property
     def algebra(self) -> AlgebraData:

@@ -16,11 +16,10 @@ from dataclasses import dataclass, field
 
 from .brace import BRACE_MAPS, HopfBraceData, gamma, require_valid_brace
 from .errors import ObtAxiomsFailed, PrereqFailed
-from .hopf import (HOPF_MAPS, HopfAlgebraData, _check_maps,
-                   check_hopf, check_hopf_morphism, deform,
-                   require_cocommutative)
-from .linmap import (LinMap, braiding, componentwise, compose, equation_entry,
-                     legwise, tensor)
+from .hopf import (HOPF_MAPS, HopfAlgebraData, _Record, check_hopf,
+                   check_hopf_morphism, deform, require_cocommutative)
+from .linmap import (LinMap, Space, braiding, componentwise, compose,
+                     equation_entry, legwise, tensor)
 from .report import AxiomReport, memoize
 
 # The structure maps a triple adds to its Hopf algebra.
@@ -28,14 +27,17 @@ OBT_EXTRA_MAPS = ("action", "involution")
 
 
 @dataclass(frozen=True)
-class OppBraceTripleData:
+class OppBraceTripleData(_Record):
     hopf: HopfAlgebraData
     action: LinMap
     involution: LinMap
     meta: dict | None = field(default=None, compare=False)
 
-    def __post_init__(self):
-        _check_maps(self, OBT_EXTRA_MAPS, self.hopf.space.dim, self.field)
+    _MAPS = OBT_EXTRA_MAPS
+
+    @property
+    def space(self) -> Space:
+        return self.hopf.space
 
     @property
     def field(self):
@@ -140,10 +142,8 @@ def _deformation_brace(t: OppBraceTripleData) -> HopfBraceData:
     the involution as antipode, and whose second is the original; ungated,
     so callers verify t first."""
     h = t.hopf
-    return HopfBraceData(
-        unit=h.unit, counit=h.counit, coproduct=h.coproduct,
-        product1=mu_tilde(t), antipode1=t.involution,
-        product2=h.product, antipode2=h.antipode)
+    return HopfBraceData.of(HopfAlgebraData(h.unit, mu_tilde(t), h.counit,
+                                            h.coproduct, t.involution), h)
 
 
 def functor_P(t: OppBraceTripleData) -> HopfBraceData:

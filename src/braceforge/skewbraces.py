@@ -454,14 +454,5 @@ def linearize(s: SkewBraceData, field):
     from .brace import HopfBraceData
     from .hopf import group_algebra
 
-    h1 = group_algebra(s.dot, field)
-    h2 = group_algebra(s.circ, field)
-    return HopfBraceData(
-        unit=h1.unit,
-        counit=h1.counit,
-        coproduct=h1.coproduct,
-        product1=h1.product,
-        antipode1=h1.antipode,
-        product2=h2.product,
-        antipode2=h2.antipode,
-    )
+    return HopfBraceData.of(group_algebra(s.dot, field),
+                            group_algebra(s.circ, field))

@@ -1,6 +1,8 @@
+import dataclasses
+
 import pytest
 
-from braceforge import (CayleyTable, HopfAlgebraData, LeftModuleData, LinMap,
+from braceforge import (HopfAlgebraData, HopfBraceData, LeftModuleData, LinMap,
                         QQ, RightModuleData, check_brace_identities,
                         check_brace_morphism, check_hopf_brace,
                         check_left_module, check_module_algebra,
@@ -11,7 +13,7 @@ from braceforge import (CayleyTable, HopfAlgebraData, LeftModuleData, LinMap,
 from braceforge.errors import (BraceAxiomsFailed, NotCocommutative,
                                PrereqFailed)
 
-from mutants import broken_brace, dual_group_hopf, trivial_left_action
+from mutants import broken_brace, dual_group_hopf, reentry, trivial_left_action
 
 XOR = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
 
@@ -51,6 +53,19 @@ def test_trivial_braces_pass():
         b = trivial_brace(h)
         assert check_hopf_brace(b).ok
         assert gamma(b) == trivial_left_action(h, h.space)
+
+
+def test_of_is_the_inverse_of_first_and_second(corpus):
+    for label, _, b in corpus:
+        assert HopfBraceData.of(b.first(), b.second()) == b, label
+    s, _ = xor_brace()
+    h1, h2 = group_algebra(s.dot, QQ), group_algebra(s.circ, QQ)
+    b = HopfBraceData.of(h1, h2)
+    assert b.first() == h1
+    assert (b.second().product, b.second().antipode) == (h2.product, h2.antipode)
+    # only the product and antipode are read from the second algebra
+    stray = dataclasses.replace(h2, counit=reentry(h2.counit, {(0, 0): 2}))
+    assert HopfBraceData.of(h1, stray) == b
 
 
 def test_trivial_brace_gate():

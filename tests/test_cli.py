@@ -538,3 +538,41 @@ def test_closed_stdout_exits_2_without_a_traceback(argv, unbuffered, files,
         os.close(write_end)
     assert proc.returncode == 2
     assert proc.stderr == "error: standard output is closed\n"
+
+
+def _matches(expected: list[str], got: list[str]) -> bool:
+    """got is expected, where an expected "..." line matches any run of lines."""
+    if not expected:
+        return not got
+    if expected[0] == "...":
+        return any(_matches(expected[1:], got[i:]) for i in range(len(got) + 1))
+    return bool(got) and got[0] == expected[0] and _matches(expected[1:], got[1:])
+
+
+def _readme_console_block(marker: str) -> list[tuple[list[str], list[str]]]:
+    """(arguments, printed lines) of each `$ braceforge` command in the
+    README console block that follows marker."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split(marker, 1)[1].split("```console\n", 1)[1]
+    commands = []
+    for line in block.split("```", 1)[0].splitlines():
+        if line.startswith("$ "):
+            program, *argv = line[2:].split()
+            assert program == "braceforge"
+            commands.append((argv, []))
+        else:
+            commands[-1][1].append(line)
+    return commands
+
+
+@pytest.mark.parametrize("marker", [
+    "A typical session:", "action once, for the module-algebra check:"])
+def test_readme_console_sessions_print_what_they_show(marker, tmp_path,
+                                                      monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_console_block(marker)
+    assert commands
+    for argv, expected in commands:
+        code, out, _ = run(*argv, capsys=capsys)
+        assert code == 0, argv
+        assert _matches(expected, out.splitlines()), (argv, out)

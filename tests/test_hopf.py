@@ -5,10 +5,10 @@ import pytest
 from braceforge import (CayleyTable, HopfAlgebraData, LinMap, PrimeField, QQ,
                         Space, check_hopf,
                         check_antipode_properties, check_hopf_morphism, compose,
-                        convolution_unit, convolve, cyclic, dihedral, equal,
+                        convolution_unit, convolve, cyclic, dihedral,
                         group_algebra, groups_of_order, is_commutative,
                         is_cocommutative, opposite_hopf,
-                        quaternion_8, symmetric_3, tensor)
+                        quaternion_8, symmetric_3)
 from braceforge.errors import (DimensionMismatch, FieldMismatch, NotAGroup,
                                NotCocommutative, PrereqFailed)
 from braceforge.hopf import CoalgebraData, check_algebra, check_coalgebra

@@ -7,10 +7,9 @@ import pytest
 
 from braceforge import (CayleyTable, HopfAlgebraData, HopfBraceData, LinMap,
                         MatchedPairData, OppBraceTripleData, PrimeField, QQ,
-                        SkewBraceData, cyclic, dumps, enumerate_skew_braces,
-                        functor_F, functor_Q, group_algebra, kind_of,
-                        linearize, load, loads, save, symmetric_3,
-                        to_document, trivial_brace)
+                        cyclic, dumps, enumerate_skew_braces, functor_F,
+                        functor_Q, group_algebra, kind_of, linearize, load,
+                        loads, save, symmetric_3, to_document)
 from braceforge.brace import BRACE_MAPS
 from braceforge.errors import (CanonicalFormError, ParseError, SchemaError,
                                ShapeError)

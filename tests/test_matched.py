@@ -6,12 +6,12 @@ from braceforge import (LeftModuleData, LinMap, MatchedPairData, QQ,
                         RightModuleData, braiding, check_hopf,
                         check_hopf_brace, check_left_module,
                         check_matched_pair, check_module_coalgebra,
-                        check_mp_morphism, check_mp_over_A, check_obt,
+                        check_mp_morphism, check_mp_over_A,
                         check_right_module, check_right_module_coalgebra,
                         compose, cyclic, enumerate_skew_braces,
                         functor_F, functor_G, functor_Q, gamma, group_algebra,
                         left_tensor_square_action, linearize,
-                        obt_from_matched_pair, phi, psi,
+                        obt_from_matched_pair, psi,
                         right_tensor_square_action, roundtrip_FG,
                         roundtrip_GF, roundtrip_PQ, roundtrip_QP,
                         symmetric_3, tensor, trivial_brace)
@@ -260,6 +260,56 @@ def test_suite_row_checks_each_module_coalgebra_once(corpus, count_calls):
                      "check_right_module_coalgebra": len(rows),
                      "left_tensor_square_action": len(rows),
                      "right_tensor_square_action": 0}
+
+
+def _sign(perm) -> int:
+    """The sign of a permutation of 0..n-1, from its cycle count."""
+    seen, cycles = set(), 0
+    for start in range(len(perm)):
+        if start not in seen:
+            cycles += 1
+            while start not in seen:
+                seen.add(start)
+                start = perm[start]
+    return -1 if (len(perm) - cycles) % 2 else 1
+
+
+COALGEBRA_LAWS = ("carrier_counit", "carrier_coproduct",
+                  "morphism_counit", "morphism_coproduct")
+
+
+def test_twisted_gamma_reaches_the_module_coalgebra_witnesses(corpus):
+    """gamma twisted by the character chi(h) = sign(x -> h o x) of the
+    circ group is still a module (chi is a group homomorphism to +-1),
+    but eps(h |> m) = chi(h) eps(m) breaks every coalgebra law where
+    chi(h) = -1.  So this mutant passes the module gate and fails the
+    module-coalgebra laws with entry witnesses, on its own and as axiom
+    (i) of the matched pair."""
+    witnesses = {}
+    for label, s, b in corpus:
+        n, circ = s.order, s.circ
+        chi = [_sign([circ.mul(h, x) for x in range(n)]) for h in range(n)]
+        if min(chi) == 1:
+            continue
+        m = functor_F(b)
+        twisted = LinMap(b.field, m.left_action.domain, m.left_action.codomain, {
+            (row, col): b.field.neg(v) if chi[col // n] < 0 else v
+            for (row, col), v in m.left_action.items()})
+        left = LeftModuleData(hopf=m.second, carrier=m.first.space, action=twisted)
+        assert check_left_module(left).ok, label
+        rep = check_module_coalgebra(left, m.first.coalgebra)
+        assert [e.name for e in rep.failures()] == list(COALGEBRA_LAWS), label
+        assert all(e.witness["kind"] == "entry" for e in rep.failures()), label
+        assert rep.entry("routes_agree").passed, label
+        failed = [e.name for e in check_matched_pair(
+            dataclasses.replace(m, left_action=twisted)).failures()]
+        assert [name for name in failed if name.startswith("i.")] == \
+            [f"i.left_module.{name}" for name in COALGEBRA_LAWS], label
+        witnesses[label] = dict(rep.entry("carrier_counit").witness)
+    assert len(witnesses) == 30  # 15 rows of order <= 6, over both fields
+    assert witnesses["Z4#1:Q"] == {"kind": "entry", "row": 0, "col": 4,
+                                   "left": "-1", "right": "1"}
+    assert witnesses["Z4#1:Fp:5"]["left"] == "4"
 
 
 # -- morphisms ------------------------------------------------------------
