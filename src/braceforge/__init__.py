@@ -37,8 +37,8 @@ from .report import AxiomReport, CheckEntry
 from .skewbraces import (CayleyTable, SkewBraceData, automorphisms,
                          builtin_group, check_group, check_skew_brace, cyclic,
                          dihedral, direct_product, enumerate_skew_braces,
-                         group_tables, groups_of_order, klein_4, linearize,
-                         quaternion_8, symmetric_3)
+                         groups_of_order, klein_4, linearize, quaternion_8,
+                         symmetric_3)
 from .storage import dumps, kind_of, load, loads, save, to_document
 from .suite import row_verdicts
 

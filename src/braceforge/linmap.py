@@ -286,26 +286,18 @@ class LinMap:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_rows(cls, field: Field, rows: Iterable[Iterable[object]],
-                  domain: Space | None = None,
-                  codomain: Space | None = None) -> "LinMap":
+    def from_rows(cls, field: Field, rows: Iterable[Iterable[object]]) -> "LinMap":
         rows = [list(r) for r in rows]
         if not rows or not rows[0]:
             raise DimensionMismatch("matrix needs at least one row and column")
         ncols = len(rows[0])
         if any(len(r) != ncols for r in rows):
             raise DimensionMismatch("ragged rows")
-        dom = domain if domain is not None else Space(ncols)
-        cod = codomain if codomain is not None else Space(len(rows))
-        if dom.dim != ncols or cod.dim != len(rows):
-            raise DimensionMismatch(
-                f"declared spaces {cod.dim}x{dom.dim} do not match "
-                f"matrix {len(rows)}x{ncols}")
         entries = {}
         for i, row in enumerate(rows):
             for j, v in enumerate(row):
                 entries[(i, j)] = v
-        return cls(field, dom, cod, entries)
+        return cls(field, Space(ncols), Space(len(rows)), entries)
 
     @classmethod
     def identity(cls, field: Field, space: Space) -> "LinMap":

@@ -234,29 +234,6 @@ def groups_of_order(n: int) -> list[CayleyTable]:
 
 
 # ---------------------------------------------------------------------------
-# group structures with a fixed identity
-
-def group_tables(n: int, identity: int = 0) -> list[CayleyTable]:
-    """All group tables on 0..n-1 with the given identity, sorted.
-
-    Each is a relabeling of a catalogue group by a bijection sending its
-    identity to `identity`; two bijections give the same table exactly
-    when they differ by an automorphism, so the tables are deduplicated.
-    Enumeration no longer uses it: it is kept as a test oracle for
-    enumerate_skew_braces and as a benchmark layer function.
-    """
-    tables = set()
-    for g in groups_of_order(n):
-        for sigma in itertools.permutations(range(n)):
-            if sigma[g.identity] != identity:
-                continue
-            sigma_inv = sorted(range(n), key=sigma.__getitem__)
-            tables.add(tuple(tuple(sigma[g.table[a][b]] for b in sigma_inv)
-                             for a in sigma_inv))
-    return [CayleyTable(t, identity) for t in sorted(tables)]
-
-
-# ---------------------------------------------------------------------------
 # automorphisms
 
 def _generators(g: CayleyTable) -> list[int]:
@@ -451,6 +428,9 @@ def linearize(s: SkewBraceData, field):
     group inversions.
     """
     check_skew_brace(s).require(SkewBraceAxiomsFailed, "skew brace law fails")
+    # Imported here because hopf imports this module for CayleyTable and
+    # check_group.  Moving linearize into brace.py would remove the cycle,
+    # but the benchmark traces it by the name skewbraces.linearize.
     from .brace import HopfBraceData
     from .hopf import group_algebra
 

@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -514,6 +516,19 @@ def test_console_script_runs():
                           capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert "suite: 4/4 pass (max order 2, field Q)" in proc.stdout
+
+
+def test_pyproject_console_script_is_cli_main():
+    # the README's `braceforge ...` sessions run this entry point once the
+    # package is installed; read with a regex since tomllib needs 3.11
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    scripts = re.search(r"^\[project\.scripts\]\n((?:[^\[\n].*\n|\n)*)",
+                        pyproject, re.M)
+    assert scripts, "pyproject.toml has no [project.scripts] table"
+    entry = re.search(r'^braceforge = "([\w.]+):(\w+)"$', scripts[1], re.M)
+    assert entry, scripts[1]
+    module, attr = entry.groups()
+    assert getattr(importlib.import_module(module), attr) is main
 
 
 @pytest.mark.parametrize("unbuffered", ["1", ""])

@@ -32,10 +32,10 @@ from braceforge import (AxiomReport, BraceForgeError, CayleyTable, CheckEntry,
                         check_right_module, check_right_module_coalgebra,
                         check_skew_brace, enumerate_skew_braces, functor_F,
                         functor_G, functor_P, functor_Q, gamma, group_algebra,
-                        group_tables, groups_of_order, linearize,
-                        obt_from_matched_pair, opposite_hopf, parse_field,
-                        phi, roundtrip_FG, roundtrip_GF, roundtrip_PQ,
-                        roundtrip_QP, symmetric_3, trivial_brace)
+                        groups_of_order, linearize, obt_from_matched_pair,
+                        opposite_hopf, parse_field, phi, roundtrip_FG,
+                        roundtrip_GF, roundtrip_PQ, roundtrip_QP, symmetric_3,
+                        trivial_brace)
 from braceforge.brace import BRACE_MAPS
 from braceforge.errors import (BraceAxiomsFailed, MpAxiomsFailed, NotAGroup,
                                NotCocommutative, ObtAxiomsFailed, PrereqFailed,
@@ -45,6 +45,7 @@ from braceforge.matched import MP_EXTRA_MAPS
 from braceforge.obt import OBT_EXTRA_MAPS
 
 from mutants import dual_group_hopf, trivial_left_action, trivial_right_action
+from oracles import group_tables
 
 F5 = PrimeField(5)
 
