@@ -1,13 +1,14 @@
 """Module actions of a Hopf algebra and their compatibility checkers.
 
 A left module is an action H (x) M -> M; a right module acts from the
-other side, M (x) H -> M.  Each law has one body for both sides, which a
-record's ``_legs`` puts in its side's tensor order.  The module-algebra
-check verifies that a carrier algebra is respected, using the diagonal
-action on M (x) M built from the coproduct of the acting Hopf algebra and
-the explicit braiding.  The module-coalgebra check verifies that the
-action is a coalgebra morphism, each law computed once.  Both are gated
-on the module axioms, whose report is memoized.
+other side, M (x) H -> M.  Each of the six action laws (unit, product,
+carrier unit, carrier product, counit, coproduct) has one body for both
+sides, which a record's ``_legs`` puts in its side's tensor order.  The
+module, module-algebra and module-coalgebra checks are built from them,
+and so are triple axioms (i)-(v) in obt.py and matched-pair axioms
+(i)-(v) in matched.py.  The module-algebra check acts on M (x) M through
+the coproduct of the acting Hopf algebra.  Both compatibility checks are
+gated on the module axioms, whose report is memoized.
 """
 from __future__ import annotations
 
@@ -51,20 +52,51 @@ class RightModuleData(_ModuleData):
         return carrier_leg, hopf_leg
 
 
+# The six action laws, one body each for both sides through the record's
+# _legs; each names the entry it creates.  The carrier-product law takes
+# square_action, how H acts on M (x) M.  No law reads the antipode.
+
+def _unit_law(m: _ModuleData, name: str) -> CheckEntry:
+    id_m = LinMap.identity(m.hopf.field, m.carrier)
+    return equation_entry(
+        name, compose(m.action, tensor(*m._legs(m.hopf.unit, id_m))), id_m)
+
+
+def _product_law(m: _ModuleData, name: str) -> CheckEntry:
+    h, id_m = m.hopf, LinMap.identity(m.hopf.field, m.carrier)
+    id_h = LinMap.identity(h.field, h.space)
+    return equation_entry(name, compose(m.action, tensor(*m._legs(id_h, m.action))),
+                          compose(m.action, tensor(*m._legs(h.product, id_m))))
+
+
+def _carrier_unit_law(m: _ModuleData, unit: LinMap, name: str) -> CheckEntry:
+    id_h = LinMap.identity(m.hopf.field, m.hopf.space)
+    return equation_entry(name, compose(m.action, tensor(*m._legs(id_h, unit))),
+                          compose(unit, m.hopf.counit))
+
+
+def _carrier_product_law(m: _ModuleData, product: LinMap, square_action: LinMap,
+                         name: str) -> CheckEntry:
+    id_h = LinMap.identity(m.hopf.field, m.hopf.space)
+    return equation_entry(name, compose(m.action, tensor(*m._legs(id_h, product))),
+                          compose(product, square_action))
+
+
+def _counit_law(m: _ModuleData, counit: LinMap, name: str) -> CheckEntry:
+    return equation_entry(name, compose(counit, m.action),
+                          tensor(*m._legs(m.hopf.counit, counit)))
+
+
+def _coproduct_law(m: _ModuleData, coproduct: LinMap, name: str) -> CheckEntry:
+    lhs = compose(coproduct, m.action)  # first: a wrong carrier fails in compose
+    return equation_entry(name, lhs, legwise(m.action, m.action,
+                                             *m._legs(m.hopf.coproduct, coproduct)))
+
+
 @memoize
 def _check_module(m: _ModuleData) -> AxiomReport:
     """The module axioms of either side: the action is unital and associative."""
-    h, field = m.hopf, m.hopf.field
-    id_m = LinMap.identity(field, m.carrier)
-    id_h = LinMap.identity(field, h.space)
-    return AxiomReport((
-        equation_entry(
-            "action.unit", compose(m.action, tensor(*m._legs(h.unit, id_m))), id_m),
-        equation_entry(
-            "action.product",
-            compose(m.action, tensor(*m._legs(id_h, m.action))),
-            compose(m.action, tensor(*m._legs(h.product, id_m)))),
-    ))
+    return AxiomReport((_unit_law(m, "action.unit"), _product_law(m, "action.product")))
 
 
 def check_left_module(m: LeftModuleData) -> AxiomReport:
@@ -90,36 +122,24 @@ def right_tensor_square_action(m: RightModuleData) -> LinMap:
     return _tensor_square_action(m)
 
 
-def check_module_algebra(m: LeftModuleData, alg: AlgebraData) -> AxiomReport:
-    """The action respects a carrier algebra: units absorb, products distribute."""
-    check_left_module(m).require(
-        PrereqFailed, "module-algebra check is gated on check_left_module")
-    h, field = m.hopf, m.hopf.field
-    id_h = LinMap.identity(field, h.space)
+def check_module_algebra(m: _ModuleData, alg: AlgebraData) -> AxiomReport:
+    """The action of either side respects a carrier algebra's unit and product."""
+    _check_module(m).require(
+        PrereqFailed, f"module-algebra check is gated on check_{m._side}_module")
+    square_action = (left_tensor_square_action if m._side == "left"
+                     else right_tensor_square_action)
     return AxiomReport((
-        equation_entry(
-            "carrier_unit",
-            compose(m.action, tensor(id_h, alg.unit)),
-            compose(alg.unit, h.counit)),
-        equation_entry(
-            "carrier_product",
-            compose(m.action, tensor(id_h, alg.product)),
-            compose(alg.product, left_tensor_square_action(m))),
+        _carrier_unit_law(m, alg.unit, "carrier_unit"),
+        _carrier_product_law(m, alg.product, square_action(m), "carrier_product"),
     ))
 
 
 def _check_module_coalgebra(m: _ModuleData, coa: CoalgebraData) -> AxiomReport:
     _check_module(m).require(
         PrereqFailed, f"module-coalgebra check is gated on check_{m._side}_module")
-    h = m.hopf
-    coproduct_after = compose(coa.coproduct, m.action)
-    via = legwise(m.action, m.action, *m._legs(h.coproduct, coa.coproduct))
-    coproduct = equation_entry("carrier_coproduct", coproduct_after, via)
+    coproduct = _coproduct_law(m, coa.coproduct, "carrier_coproduct")
     return AxiomReport((
-        equation_entry(
-            "carrier_counit",
-            compose(coa.counit, m.action),
-            tensor(*m._legs(h.counit, coa.counit))),
+        _counit_law(m, coa.counit, "carrier_counit"),
         coproduct,
         replace(coproduct, name="morphism_coproduct"),
         # The tensor-square route is via too, for any maps: legwise(f, g,

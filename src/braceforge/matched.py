@@ -2,7 +2,9 @@
 
 A matched pair is two Hopf algebras with a left action of the second on
 the first and a right action of the first on the second, compatible
-through the interweaving map psi.  The diagonal subcategory (both Hopf
+through the interweaving map psi.  Axioms (i)-(v) are the action laws of
+actions.py for both modules, each carrier with its own algebra; its
+tensor square is acted on through psi.  The diagonal subcategory (both Hopf
 components equal, cocommutative, product absorbed by psi) is equivalent
 to Hopf braces via functor_F / functor_G.
 """
@@ -10,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .actions import (LeftModuleData, RightModuleData, check_left_module,
+from .actions import (LeftModuleData, RightModuleData, _carrier_product_law,
+                      _carrier_unit_law, check_left_module,
                       check_module_coalgebra, check_right_module,
                       check_right_module_coalgebra)
 from .brace import BRACE_MAPS, HopfBraceData, gamma, phi, require_valid_brace
@@ -76,44 +79,30 @@ def check_matched_pair(m: MatchedPairData) -> AxiomReport:
     for name, component in (("first", a), ("second", h)):
         check_hopf(component).require(
             PrereqFailed, f"{name} component fails the Hopf axioms")
-    id_a = LinMap.identity(field, a.space)
-    id_h = LinMap.identity(field, h.space)
-    left = LeftModuleData(hopf=h, carrier=a.space, action=m.left_action)
-    left_rep = check_left_module(left)
-    left_entries = left_rep.prefixed("i.left_module.")
-    if left_rep.ok:
-        left_entries += check_module_coalgebra(
-            left, a.coalgebra).prefixed("i.left_module.")
-    right = RightModuleData(hopf=a, carrier=h.space, action=m.right_action)
-    right_rep = check_right_module(right)
-    right_entries = right_rep.prefixed("i.right_module.")
-    if right_rep.ok:
-        right_entries += check_right_module_coalgebra(
-            right, h.coalgebra).prefixed("i.right_module.")
-    return AxiomReport((
-        *left_entries,
-        *right_entries,
-        equation_entry(
-            "ii",
-            compose(m.left_action, tensor(id_h, a.unit)),
-            compose(a.unit, h.counit)),
-        equation_entry(
-            "iii",
-            compose(m.right_action, tensor(h.unit, id_a)),
-            compose(h.unit, a.counit)),
-        equation_entry(
-            "iv",
-            compose(m.left_action, tensor(id_h, a.product)),
-            compose(a.product, tensor(id_a, m.left_action), tensor(ps, id_a))),
-        equation_entry(
-            "v",
-            compose(m.right_action, tensor(h.product, id_a)),
-            compose(h.product, tensor(m.right_action, id_h), tensor(id_h, ps))),
-        equation_entry(
-            "vi",
-            compose(braiding(field, a.space, h.space), ps),
-            legwise(m.right_action, m.left_action, h.coproduct, a.coproduct)),
-    ))
+    axiom_i, units, products = [], [], []
+    for mod, carrier, check, check_coalgebra, unit_axiom, product_axiom in (
+            (LeftModuleData(hopf=h, carrier=a.space, action=m.left_action), a,
+             check_left_module, check_module_coalgebra, "ii", "iv"),
+            (RightModuleData(hopf=a, carrier=h.space, action=m.right_action), h,
+             check_right_module, check_right_module_coalgebra, "iii", "v")):
+        prefix = f"i.{mod._side}_module."
+        rep = check(mod)
+        axiom_i += rep.prefixed(prefix)
+        if rep.ok:
+            axiom_i += check_coalgebra(mod, carrier.coalgebra).prefixed(prefix)
+        units.append(_carrier_unit_law(mod, carrier.unit, unit_axiom))
+        # through psi past the near carrier leg, then the action on the far
+        # one; built in the call, so it is freed before the other side's
+        id_c = LinMap.identity(field, mod.carrier)
+        products.append(_carrier_product_law(
+            mod, carrier.product,
+            compose(tensor(*mod._legs(id_c, mod.action)), tensor(*mod._legs(ps, id_c))),
+            product_axiom))
+    braids = equation_entry(
+        "vi",
+        compose(braiding(field, a.space, h.space), ps),
+        legwise(m.right_action, m.left_action, h.coproduct, a.coproduct))
+    return AxiomReport((*axiom_i, *units, *products, braids))
 
 
 @memoize

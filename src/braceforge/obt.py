@@ -1,8 +1,9 @@
 """Opposite brace triples and the deformed Hopf algebra they induce.
 
 A triple is a Hopf algebra A together with an action map m : A (x) A -> A
-and an involution u : A -> A subject to eight axioms.  The action deforms
-the product into
+and an involution u : A -> A subject to eight axioms; (i)-(v) are the
+action laws of actions.py for m over A with the opposite product.  The
+action deforms the product into
 
     mu~ = product o (id (x) m) o (coproduct (x) id)
 
@@ -14,12 +15,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .actions import (LeftModuleData, _carrier_product_law, _carrier_unit_law,
+                      _coproduct_law, _counit_law, _product_law, _unit_law,
+                      left_tensor_square_action)
 from .brace import BRACE_MAPS, HopfBraceData, gamma, require_valid_brace
 from .errors import ObtAxiomsFailed, PrereqFailed
 from .hopf import (HOPF_MAPS, HopfAlgebraData, _Record, check_hopf,
                    check_hopf_morphism, deform, require_cocommutative)
 from .linmap import (LinMap, Space, braiding, componentwise, compose,
-                     equation_entry, legwise, tensor)
+                     equation_entry, tensor)
 from .report import AxiomReport, memoize
 
 # The structure maps a triple adds to its Hopf algebra.
@@ -54,56 +58,42 @@ def mu_tilde(t: OppBraceTripleData) -> LinMap:
 def check_obt(t: OppBraceTripleData) -> AxiomReport:
     """The eight triple axioms, one report entry each.
 
-    (i)    the action is a coalgebra morphism
-    (ii)   acting by the unit is the identity
-    (iii)  acting on the unit collapses to counit (x) unit
-    (iv)   the action is a left module over the opposite product
-    (v)    the action distributes over the deformed product
+    (i)    the action is a coalgebra morphism (module coalgebra)
+    (ii)   acting by the unit is the identity (module)
+    (iii)  acting on the unit collapses to counit (x) unit (module algebra)
+    (iv)   the action is a left module over the opposite product (module)
+    (v)    the action distributes over the deformed product (module algebra)
     (vi)   the involution is a coalgebra morphism
     (vii)  the involution squares to the identity
     (viii) acting along the diagonal on the involution recovers the antipode
     """
     h = t.hopf
     check_hopf(h).require(PrereqFailed, "triple axioms are gated on check_hopf")
-    field, space = t.field, h.space
-    id_a = LinMap.identity(field, space)
-    swap = braiding(field, space, space)
+    id_a = LinMap.identity(t.field, h.space)
     m, u = t.action, t.involution
-    mt = mu_tilde(t)
+    # A^op without opposite_hopf's cocommutativity gate; no module law reads the antipode
+    op = HopfAlgebraData(h.unit, compose(h.product, braiding(t.field, h.space, h.space)),
+                         h.counit, h.coproduct, h.antipode)
+    mod = LeftModuleData(hopf=op, carrier=h.space, action=m)
 
     # (i) and (vi) report their counit half when it fails, else the coproduct half
-    coalg = equation_entry(
-        "i", compose(h.counit, m), tensor(h.counit, h.counit))
+    coalg = _counit_law(mod, h.counit, "i")
     if coalg.passed:
-        coalg = equation_entry(
-            "i",
-            compose(h.coproduct, m),
-            legwise(m, m, h.coproduct, h.coproduct))
-    inv = equation_entry(
-        "vi", compose(h.counit, u), h.counit)
+        coalg = _coproduct_law(mod, h.coproduct, "i")
+    inv = equation_entry("vi", compose(h.counit, u), h.counit)
     if inv.passed:
         inv = equation_entry(
             "vi", compose(h.coproduct, u), compose(tensor(u, u), h.coproduct))
 
     return AxiomReport((
         coalg,
-        equation_entry(
-            "ii", compose(m, tensor(h.unit, id_a)), id_a),
-        equation_entry(
-            "iii", compose(m, tensor(id_a, h.unit)), compose(h.unit, h.counit)),
-        equation_entry(
-            "iv",
-            compose(m, tensor(id_a, m)),
-            compose(m, tensor(compose(h.product, swap), id_a))),
-        equation_entry(
-            "v",
-            compose(m, tensor(id_a, mt)),
-            compose(mt, legwise(m, m, h.coproduct,
-                                LinMap.identity(field, space.tensor(space))))),
+        _unit_law(mod, "ii"),
+        _carrier_unit_law(mod, h.unit, "iii"),
+        _product_law(mod, "iv"),
+        _carrier_product_law(mod, mu_tilde(t), left_tensor_square_action(mod), "v"),
         inv,
         equation_entry("vii", compose(u, u), id_a),
-        equation_entry(
-            "viii", compose(m, tensor(id_a, u), h.coproduct), h.antipode),
+        equation_entry("viii", compose(m, tensor(id_a, u), h.coproduct), h.antipode),
     ))
 
 

@@ -4,8 +4,9 @@ from braceforge import (HopfAlgebraData, LeftModuleData, LinMap, QQ,
                         RightModuleData, Space, adjoint_action, check_left_module,
                         check_module_algebra, check_module_coalgebra,
                         check_right_module, check_right_module_coalgebra,
-                        compose, cyclic, group_algebra,
-                        left_tensor_square_action, symmetric_3, tensor)
+                        compose, cyclic, dihedral, group_algebra,
+                        left_tensor_square_action, parse_field, phi,
+                        quaternion_8, symmetric_3, tensor, trivial_brace)
 from braceforge.errors import DimensionMismatch, PrereqFailed
 
 from mutants import reentry, trivial_left_action, trivial_right_action
@@ -104,6 +105,28 @@ def test_regular_action_fails_module_algebra_on_s3():
         rhs.entry(tbl.mul(s, tbl.mul(x, x)), col)
 
 
+@pytest.mark.parametrize("spec", ("Q", "Fp:5"))
+def test_right_conjugation_is_a_module_algebra(spec):
+    # phi of a trivial brace is x <| g = g^-1 x g, an algebra automorphism
+    # for each g that fixes 1: the right-hand laws hold
+    for table in (cyclic(4), symmetric_3(), dihedral(4), quaternion_8()):
+        h = group_algebra(table, parse_field(spec))
+        conj = RightModuleData(hopf=h, carrier=h.space, action=phi(trivial_brace(h)))
+        assert check_right_module(conj).ok
+        assert check_module_algebra(conj, h.algebra).ok
+
+
+def test_right_regular_action_fails_module_algebra():
+    # x <| g = xg: column 1 of the unit law is 1 <| s = s against eps(s) 1,
+    # and column 1 of the product law is (e e) <| s = s against
+    # (e <| s)(e <| s) = s s = e, for the involution s = 1 of S3
+    h = group_algebra(symmetric_3(), QQ)
+    rep = check_module_algebra(regular_right(h), h.algebra)
+    want = {"kind": "entry", "row": 0, "col": 1, "left": "0", "right": "1"}
+    for name in ("carrier_unit", "carrier_product"):
+        assert (rep.entry(name).passed, rep.entry(name).witness) == (False, want)
+
+
 def test_regular_action_is_module_coalgebra():
     # group-like coproducts are multiplicative, so left translation respects them
     h = group_algebra(symmetric_3(), QQ)
@@ -162,6 +185,30 @@ def test_module_algebra_gate_requires_valid_module():
         check_module_algebra(bad, h.algebra)
     with pytest.raises(PrereqFailed):
         check_module_coalgebra(bad, h.coalgebra)
+
+
+def test_right_module_algebra_gate_names_the_right_module():
+    h = group_algebra(cyclic(3), QQ)
+    action = reentry(h.product, {(2, 4): 0, (1, 4): 1})
+    bad = RightModuleData(hopf=h, carrier=h.space, action=action)
+    with pytest.raises(PrereqFailed) as err:
+        check_module_algebra(bad, h.algebra)
+    assert str(err.value) == "module-algebra check is gated on check_right_module"
+    assert err.value.report is check_right_module(bad)
+
+
+def test_wrong_carrier_fails_in_the_first_compose():
+    # Z3 acting on itself, checked against Z4's algebra or coalgebra: the
+    # left-hand side of the first law is composed first and names the dimensions
+    h, z4 = group_algebra(cyclic(3), QQ), group_algebra(cyclic(4), QQ)
+    cases = ((check_module_algebra, regular_left(h), z4.algebra, "9 != codomain dim 12"),
+             (check_module_coalgebra, regular_left(h), z4.coalgebra, "4 != codomain dim 3"),
+             (check_right_module_coalgebra, regular_right(h), z4.coalgebra,
+              "4 != codomain dim 3"))
+    for check, mod, structure, dims in cases:
+        with pytest.raises(DimensionMismatch) as err:
+            check(mod, structure)
+        assert str(err.value) == f"compose: domain dim {dims}"
 
 
 def test_right_module_coalgebra_gate():

@@ -5,8 +5,8 @@ import pytest
 from braceforge import (LeftModuleData, LinMap, MatchedPairData, QQ,
                         RightModuleData, braiding, check_hopf,
                         check_hopf_brace, check_left_module,
-                        check_matched_pair, check_module_coalgebra,
-                        check_mp_morphism, check_mp_over_A,
+                        check_matched_pair, check_module_algebra,
+                        check_module_coalgebra, check_mp_morphism, check_mp_over_A,
                         check_right_module, check_right_module_coalgebra,
                         compose, cyclic, enumerate_skew_braces,
                         functor_F, functor_G, functor_Q, gamma, group_algebra,
@@ -219,6 +219,37 @@ def test_axiom_i_is_the_four_module_checks(corpus):
     assert seen == {True, False}
 
 
+# -- axioms (ii) and (iii) are the carrier-unit laws ------------------------
+
+def test_unit_axioms_are_the_carrier_unit_laws(corpus):
+    """Axioms (ii) and (iii) give the verdict and witness of
+    check_module_algebra's carrier_unit for first as a left module and
+    second as a right module, each over its own algebra: on F(b) for every
+    order <= 6 brace over Q and Fp:5, on the mutants and on two regular
+    actions, wherever the module gate passes."""
+    h = group_algebra(symmetric_3(), QQ)
+    pairs = [functor_F(b) for _, _, b in corpus]
+    pairs += [broken_matched_pair(axiom) for axiom in MP_EXPECTED_FAILURES]
+    pairs += [dataclasses.replace(trivial_pair(h), left_action=h.product),
+              dataclasses.replace(trivial_pair(h), right_action=h.product)]
+    seen = set()
+    for m in pairs:
+        rep = check_matched_pair(m)
+        left = LeftModuleData(hopf=m.second, carrier=m.first.space,
+                              action=m.left_action)
+        right = RightModuleData(hopf=m.first, carrier=m.second.space,
+                                action=m.right_action)
+        for axiom, mod, gate, carrier in (
+                ("ii", left, check_left_module, m.first),
+                ("iii", right, check_right_module, m.second)):
+            if gate(mod).ok:
+                law = check_module_algebra(mod, carrier.algebra).entry("carrier_unit")
+                got = rep.entry(axiom)
+                assert (got.passed, got.witness) == (law.passed, law.witness), axiom
+                seen.add((axiom, law.passed))
+    assert seen == {(axiom, ok) for axiom in ("ii", "iii") for ok in (True, False)}
+
+
 def test_tensor_square_route_is_the_morphism_route(corpus):
     """The module-coalgebra law has two routes to its right-hand side:
     through the tensor-square action, and as "the action is a coalgebra
@@ -246,10 +277,10 @@ def test_tensor_square_route_is_the_morphism_route(corpus):
 
 
 def test_suite_row_checks_each_module_coalgebra_once(corpus, count_calls):
-    # Only check_module_algebra builds a tensor-square action, the left
-    # one on b (x) b; both module-coalgebra checks compute their law
-    # through legwise alone.  It is built by its side's public function,
-    # so a tracer counts it.
+    # Two left tensor-square actions on b (x) b are built per row: one for
+    # gamma's module-algebra check and one for axiom (v) of Q(b); both
+    # module-coalgebra checks compute their law through legwise alone.
+    # Each is built by its side's public function, so a tracer counts it.
     calls = count_calls(check_module_coalgebra, check_right_module_coalgebra,
                         left_tensor_square_action, right_tensor_square_action)
     rows = [b for _, s, b in corpus if s.order <= 4]
@@ -258,7 +289,7 @@ def test_suite_row_checks_each_module_coalgebra_once(corpus, count_calls):
         list(row_verdicts(b))
     assert calls == {"check_module_coalgebra": len(rows),
                      "check_right_module_coalgebra": len(rows),
-                     "left_tensor_square_action": len(rows),
+                     "left_tensor_square_action": 2 * len(rows),
                      "right_tensor_square_action": 0}
 
 

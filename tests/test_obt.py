@@ -2,13 +2,14 @@ from itertools import permutations, product
 
 import pytest
 
-from braceforge import (HopfAlgebraData, LinMap, OppBraceTripleData, QQ,
-                        build_deformed_hopf, check_hopf, check_hopf_brace,
+from braceforge import (HopfAlgebraData, LeftModuleData, LinMap,
+                        OppBraceTripleData, QQ, build_deformed_hopf, check_hopf,
+                        check_hopf_brace, check_left_module,
                         check_lemma_mu_recovery, check_obt, check_obt_morphism,
                         compose, cyclic, functor_P, functor_Q, group_algebra,
-                        groups_of_order, mu_tilde, require_valid_obt,
-                        roundtrip_PQ, roundtrip_QP, symmetric_3, tensor,
-                        trivial_brace)
+                        groups_of_order, mu_tilde, opposite_hopf,
+                        require_valid_obt, roundtrip_PQ, roundtrip_QP,
+                        symmetric_3, tensor, trivial_brace)
 from braceforge.errors import (NotCocommutative, ObtAxiomsFailed,
                                PrereqFailed)
 
@@ -189,6 +190,25 @@ def test_identity_involution_fails_viii_at_g():
     # u = id makes the left side fix g while the antipode sends it to g^2
     assert rep.entry("viii").witness == {"kind": "entry", "row": 1, "col": 1,
                                          "left": "1", "right": "0"}
+
+
+def test_module_axioms_are_the_opposite_module_laws(corpus):
+    """Axioms (ii) and (iv) give the verdict and witness of
+    check_left_module's unit and product laws for the action over A with
+    the opposite product: on Q(b) for every order <= 6 brace over Q and
+    Fp:5 and on every mutant."""
+    triples = [functor_Q(b) for _, _, b in corpus]
+    triples += [broken_obt(axiom) for axiom in AXIOMS]
+    seen = set()
+    for t in triples:
+        rep = check_obt(t)
+        laws = check_left_module(LeftModuleData(
+            hopf=opposite_hopf(t.hopf), carrier=t.space, action=t.action))
+        for axiom, law in (("ii", "action.unit"), ("iv", "action.product")):
+            got, want = rep.entry(axiom), laws.entry(law)
+            assert (got.passed, got.witness) == (want.passed, want.witness), axiom
+            seen.add((axiom, got.passed))
+    assert seen == {(axiom, ok) for axiom in ("ii", "iv") for ok in (True, False)}
 
 
 # -- morphisms ---------------------------------------------------------------
