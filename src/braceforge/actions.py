@@ -6,9 +6,12 @@ carrier unit, carrier product, counit, coproduct) has one body for both
 sides, which a record's ``_legs`` puts in its side's tensor order.  The
 module, module-algebra and module-coalgebra checks are built from them,
 and so are triple axioms (i)-(v) in obt.py and matched-pair axioms
-(i)-(v) in matched.py.  The module-algebra check acts on M (x) M through
-the coproduct of the acting Hopf algebra.  Both compatibility checks are
-gated on the module axioms, whose report is memoized.
+(i)-(v) in matched.py.  A coproduct leg of H passes the carrier only
+through _interchange, psi_M(h (x) x) = (h_1 |> x) (x) h_2, and H acts on
+M (x) M by one body, (id (x) action) o (psi (x) id), with psi = psi_M or
+a matched pair's psi; legwise meets only the two coproducts of the
+coproduct law.  Both compatibility checks are gated on the module
+axioms, whose report is memoized.
 """
 from __future__ import annotations
 
@@ -63,8 +66,8 @@ def _unit_law(m: _ModuleData, name: str) -> CheckEntry:
 
 
 def _product_law(m: _ModuleData, name: str) -> CheckEntry:
-    h, id_m = m.hopf, LinMap.identity(m.hopf.field, m.carrier)
-    id_h = LinMap.identity(h.field, h.space)
+    h = m.hopf
+    id_h, id_m = LinMap.identity(h.field, h.space), LinMap.identity(h.field, m.carrier)
     return equation_entry(name, compose(m.action, tensor(*m._legs(id_h, m.action))),
                           compose(m.action, tensor(*m._legs(h.product, id_m))))
 
@@ -88,9 +91,8 @@ def _counit_law(m: _ModuleData, counit: LinMap, name: str) -> CheckEntry:
 
 
 def _coproduct_law(m: _ModuleData, coproduct: LinMap, name: str) -> CheckEntry:
-    lhs = compose(coproduct, m.action)  # first: a wrong carrier fails in compose
-    return equation_entry(name, lhs, legwise(m.action, m.action,
-                                             *m._legs(m.hopf.coproduct, coproduct)))
+    return equation_entry(name, compose(coproduct, m.action),
+                          legwise(m.action, m.action, *m._legs(m.hopf.coproduct, coproduct)))
 
 
 @memoize
@@ -107,23 +109,41 @@ def check_right_module(m: RightModuleData) -> AxiomReport:
     return _check_module(m)
 
 
-def _tensor_square_action(m: _ModuleData) -> LinMap:
-    id_square = LinMap.identity(m.hopf.field, m.carrier.tensor(m.carrier))
-    return legwise(m.action, m.action, *m._legs(m.hopf.coproduct, id_square))
+def _interchange(m: _ModuleData) -> LinMap:
+    """psi_M : H (x) M -> M (x) H, h (x) x -> (h_1 |> x) (x) h_2; for a right
+    module x (x) h -> h_1 (x) (x <| h_2).  It moves legs and reads no axiom."""
+    h = m.hopf
+    id_h, id_m = LinMap.identity(h.field, h.space), LinMap.identity(h.field, m.carrier)
+    return compose(tensor(*m._legs(id_h, m.action)[::-1]),
+                   tensor(*m._legs(id_h, braiding(h.field, *m._legs(h.space, m.carrier)))),
+                   tensor(*m._legs(h.coproduct, id_m)))
+
+
+def _square_action(m: _ModuleData, interchange: LinMap) -> LinMap:
+    """H on M (x) M: interchange past the near carrier leg, then the far action."""
+    id_m = LinMap.identity(m.hopf.field, m.carrier)
+    return compose(tensor(*m._legs(id_m, m.action)), tensor(*m._legs(interchange, id_m)))
 
 
 def left_tensor_square_action(m: LeftModuleData) -> LinMap:
     """Diagonal action of H on M (x) M: act on both factors through the coproduct."""
-    return _tensor_square_action(m)
+    return _square_action(m, _interchange(m))
 
 
 def right_tensor_square_action(m: RightModuleData) -> LinMap:
     """Diagonal action of H on M (x) M from the right."""
-    return _tensor_square_action(m)
+    return _square_action(m, _interchange(m))
+
+
+def _require_on_carrier(m: _ModuleData, space: Space, what: str) -> None:
+    if space != m.carrier:
+        raise DimensionMismatch(f"{m._side} module carrier has dimension {m.carrier.dim}, "
+                                f"but the {what} is on dimension {space.dim}")
 
 
 def check_module_algebra(m: _ModuleData, alg: AlgebraData) -> AxiomReport:
     """The action of either side respects a carrier algebra's unit and product."""
+    _require_on_carrier(m, alg.space, "algebra")
     _check_module(m).require(
         PrereqFailed, f"module-algebra check is gated on check_{m._side}_module")
     square_action = (left_tensor_square_action if m._side == "left"
@@ -135,6 +155,7 @@ def check_module_algebra(m: _ModuleData, alg: AlgebraData) -> AxiomReport:
 
 
 def _check_module_coalgebra(m: _ModuleData, coa: CoalgebraData) -> AxiomReport:
+    _require_on_carrier(m, coa.space, "coalgebra")
     _check_module(m).require(
         PrereqFailed, f"module-coalgebra check is gated on check_{m._side}_module")
     coproduct = _coproduct_law(m, coa.coproduct, "carrier_coproduct")
@@ -142,10 +163,9 @@ def _check_module_coalgebra(m: _ModuleData, coa: CoalgebraData) -> AxiomReport:
         _counit_law(m, coa.counit, "carrier_counit"),
         coproduct,
         replace(coproduct, name="morphism_coproduct"),
-        # The tensor-square route is via too, for any maps: legwise(f, g,
-        # c1, c2) o (x (x) y) = legwise(f, g, c1 o x, c2 o y), so with the
-        # legs in the side's order, legwise(action, action, Delta_H, id)
-        # o (id (x) Delta_C) = legwise(action, action, Delta_H, Delta_C).
+        # The tensor-square route is via too, for any maps: after Delta_C the
+        # square action is legwise(action, action, Delta_H, Delta_C) (legs in
+        # the side's order); both move legs alone to (h_1 |> x_1) (x) (h_2 |> x_2).
         CheckEntry("routes_agree", True),
     ))
 
@@ -170,13 +190,8 @@ def check_right_module_coalgebra(m: RightModuleData, coa: CoalgebraData) -> Axio
 
 
 def adjoint_action(h: HopfAlgebraData) -> LeftModuleData:
-    """H acting on itself by the antipode-twisted sandwich action."""
+    """H acting on itself by the sandwich action h (x) x -> h_1 x S(h_2)."""
     check_hopf(h).require(PrereqFailed, "adjoint action is gated on check_hopf")
-    field, space = h.field, h.space
-    id_h = LinMap.identity(field, space)
-    action = compose(
-        h.product,
-        tensor(h.product, h.antipode),
-        tensor(id_h, braiding(field, space, space)),
-        tensor(h.coproduct, id_h))
-    return LeftModuleData(hopf=h, carrier=space, action=action)
+    action = compose(h.product, tensor(LinMap.identity(h.field, h.space), h.antipode),
+                     _interchange(LeftModuleData(hopf=h, carrier=h.space, action=h.product)))
+    return LeftModuleData(hopf=h, carrier=h.space, action=action)

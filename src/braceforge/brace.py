@@ -3,16 +3,18 @@
 The defining compatibility ties the second product to the first through
 the canonical action gamma of the second structure on the first.  For
 cocommutative braces there is additionally a right action phi of the
-second structure on the carrier.
+second structure on the carrier.  The compatibility and the antipode
+exchange pass a coproduct leg by the second product's interchange.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .actions import LeftModuleData, _interchange
 from .errors import BraceAxiomsFailed, PrereqFailed
 from .hopf import (HopfAlgebraData, _Record, check_hopf, check_hopf_morphism,
                    deform, require_cocommutative)
-from .linmap import LinMap, braiding, compose, equation_entry, legwise, tensor
+from .linmap import LinMap, compose, equation_entry, legwise, tensor
 from .report import AxiomReport, memoize
 
 
@@ -72,11 +74,10 @@ def check_hopf_brace(b: HopfBraceData) -> AxiomReport:
     """Both Hopf structures plus the product compatibility law."""
     first = check_hopf(b.first()).prefixed("first.")
     second = check_hopf(b.second()).prefixed("second.")
-    field, space = b.field, b.space
-    id_h = LinMap.identity(field, space)
+    id_h = LinMap.identity(b.field, b.space)
     lhs = compose(b.product2, tensor(id_h, b.product1))
-    rhs = compose(b.product1, legwise(b.product2, gamma(b), b.coproduct,
-                                      LinMap.identity(field, space.tensor(space))))
+    psi2 = _interchange(LeftModuleData(hopf=b.second(), carrier=b.space, action=b.product2))
+    rhs = compose(b.product1, tensor(id_h, gamma(b)), tensor(psi2, id_h))
     return AxiomReport((*first, *second, equation_entry("compatibility", lhs, rhs)))
 
 
@@ -99,18 +100,14 @@ def check_brace_identities(b: HopfBraceData) -> AxiomReport:
     """
     check_hopf_brace(b).require(
         PrereqFailed, "identities are gated on check_hopf_brace")
-    field, space = b.field, b.space
-    id_h = LinMap.identity(field, space)
-    swap = braiding(field, space, space)
+    id_h = LinMap.identity(b.field, b.space)
+    psi2 = _interchange(LeftModuleData(hopf=b.second(), carrier=b.space, action=b.product2))
     g = gamma(b)
     return AxiomReport((
         equation_entry(
             "action_antipode_exchange",
             compose(g, tensor(id_h, b.antipode1)),
-            compose(b.product1,
-                    tensor(compose(b.antipode1, b.product2), id_h),
-                    tensor(id_h, swap),
-                    tensor(b.coproduct, id_h))),
+            compose(b.product1, tensor(b.antipode1, id_h), psi2)),
         equation_entry(
             "product2_from_action",
             b.product2, deform(b.product1, b.coproduct, g)),

@@ -196,15 +196,18 @@ def check_hopf(h: HopfAlgebraData) -> AxiomReport:
     ))
 
 
+def _opposite_product(product: LinMap) -> LinMap:
+    """product o c_{H,H}, the product of H^op, with no gate."""
+    return compose(product, braiding(product.field, product.codomain, product.codomain))
+
+
 def is_commutative(h: HopfAlgebraData) -> bool:
-    swap = braiding(h.field, h.space, h.space)
-    return compose(h.product, swap) == h.product
+    return _opposite_product(h.product) == h.product
 
 
 @memoize
 def is_cocommutative(h: HopfAlgebraData) -> bool:
-    swap = braiding(h.field, h.space, h.space)
-    return compose(swap, h.coproduct) == h.coproduct
+    return compose(braiding(h.field, h.space, h.space), h.coproduct) == h.coproduct
 
 
 def require_cocommutative(h: HopfAlgebraData, message: str) -> None:
@@ -223,17 +226,16 @@ def check_antipode_properties(h: HopfAlgebraData) -> AxiomReport:
                           "antipode properties are gated on check_hopf")
     field, space = h.field, h.space
     ident = LinMap.identity(field, space)
-    swap = braiding(field, space, space)
     lam = h.antipode
     entries = (
         equation_entry(
             "antimultiplicative",
             compose(lam, h.product),
-            compose(h.product, swap, tensor(lam, lam))),
+            compose(_opposite_product(h.product), tensor(lam, lam))),
         equation_entry(
             "anticomultiplicative",
             compose(h.coproduct, lam),
-            compose(tensor(lam, lam), swap, h.coproduct)),
+            compose(tensor(lam, lam), braiding(field, space, space), h.coproduct)),
         equation_entry("unit", compose(lam, h.unit), h.unit),
         equation_entry("counit", compose(h.counit, lam), h.counit),
     )
@@ -249,8 +251,7 @@ def opposite_hopf(h: HopfAlgebraData) -> HopfAlgebraData:
     opposite product, so no antipode inverse is needed.
     """
     require_cocommutative(h, "opposite product needs a cocommutative coproduct")
-    swap = braiding(h.field, h.space, h.space)
-    return HopfAlgebraData(h.unit, compose(h.product, swap), h.counit,
+    return HopfAlgebraData(h.unit, _opposite_product(h.product), h.counit,
                            h.coproduct, h.antipode)
 
 

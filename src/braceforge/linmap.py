@@ -17,8 +17,8 @@ shuffle), so a different braiding can be swapped in at this one point;
 braiding is memoized, so every formula shares one swap per pair of spaces.
 legwise(f, g, c1, c2) is the one place where two maps meet the legs of
 two coproducts: f takes the first leg of each, g the second, and the
-middle legs pass through c_{A,B}.  legwise reads the columns of
-braiding(field, A, B) for that, so it too keeps the braiding explicit.
+middle legs pass through c_{A,B}, whose columns legwise reads.  One
+coproduct leg passing a carrier is actions' interchange, not legwise.
 
 Matrices are semantically dense; internally a LinMap is stored column
 major, as {col: {row: value}} holding only the nonzero entries of only the
@@ -616,8 +616,8 @@ def _leg(c: LinMap, name: str) -> Space:
 
 def legwise(f: LinMap, g: LinMap, c1: LinMap, c2: LinMap) -> LinMap:
     """(f (x) g) o (id_A (x) c_{A,B} (x) id_B) o (c1 (x) c2), for
-    c1 : X -> A (x) A and c2 : Y -> B (x) B:
-    x (x) y -> sum f(x_1 (x) y_1) (x) g(x_2 (x) y_2).  For coproducts,
+    c1 : X -> A (x) A and c2 : Y -> B (x) B, both coproducts at every call
+    site: x (x) y -> sum f(x_1 (x) y_1) (x) g(x_2 (x) y_2), as
     (id_A (x) c_{A,B} (x) id_B) o (c1 (x) c2) is the coproduct of X (x) Y.
 
     Column x (x) y of the result is the sum, over the entries c1[iA + j, x]

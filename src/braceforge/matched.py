@@ -3,17 +3,17 @@
 A matched pair is two Hopf algebras with a left action of the second on
 the first and a right action of the first on the second, compatible
 through the interweaving map psi.  Axioms (i)-(v) are the action laws of
-actions.py for both modules, each carrier with its own algebra; its
-tensor square is acted on through psi.  The diagonal subcategory (both Hopf
-components equal, cocommutative, product absorbed by psi) is equivalent
-to Hopf braces via functor_F / functor_G.
+actions.py for both modules, each carrier with its own algebra; in
+(iv)/(v) psi is the interchange that passes a coproduct leg past the
+carrier.  The diagonal subcategory (both Hopf components equal, cocommutative,
+product absorbed by psi) is equivalent to Hopf braces via functor_F / functor_G.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from .actions import (LeftModuleData, RightModuleData, _carrier_product_law,
-                      _carrier_unit_law, check_left_module,
+                      _carrier_unit_law, _square_action, check_left_module,
                       check_module_coalgebra, check_right_module,
                       check_right_module_coalgebra)
 from .brace import BRACE_MAPS, HopfBraceData, gamma, phi, require_valid_brace
@@ -91,13 +91,9 @@ def check_matched_pair(m: MatchedPairData) -> AxiomReport:
         if rep.ok:
             axiom_i += check_coalgebra(mod, carrier.coalgebra).prefixed(prefix)
         units.append(_carrier_unit_law(mod, carrier.unit, unit_axiom))
-        # through psi past the near carrier leg, then the action on the far
-        # one; built in the call, so it is freed before the other side's
-        id_c = LinMap.identity(field, mod.carrier)
+        # built in the call, so it is freed before the other side's
         products.append(_carrier_product_law(
-            mod, carrier.product,
-            compose(tensor(*mod._legs(id_c, mod.action)), tensor(*mod._legs(ps, id_c))),
-            product_axiom))
+            mod, carrier.product, _square_action(mod, ps), product_axiom))
     braids = equation_entry(
         "vi",
         compose(braiding(field, a.space, h.space), ps),

@@ -20,10 +20,9 @@ from .actions import (LeftModuleData, _carrier_product_law, _carrier_unit_law,
                       left_tensor_square_action)
 from .brace import BRACE_MAPS, HopfBraceData, gamma, require_valid_brace
 from .errors import ObtAxiomsFailed, PrereqFailed
-from .hopf import (HOPF_MAPS, HopfAlgebraData, _Record, check_hopf,
-                   check_hopf_morphism, deform, require_cocommutative)
-from .linmap import (LinMap, Space, braiding, componentwise, compose,
-                     equation_entry, tensor)
+from .hopf import (HOPF_MAPS, HopfAlgebraData, _opposite_product, _Record,
+                   check_hopf, check_hopf_morphism, deform, require_cocommutative)
+from .linmap import LinMap, Space, componentwise, compose, equation_entry, tensor
 from .report import AxiomReport, memoize
 
 # The structure maps a triple adds to its Hopf algebra.
@@ -72,8 +71,8 @@ def check_obt(t: OppBraceTripleData) -> AxiomReport:
     id_a = LinMap.identity(t.field, h.space)
     m, u = t.action, t.involution
     # A^op without opposite_hopf's cocommutativity gate; no module law reads the antipode
-    op = HopfAlgebraData(h.unit, compose(h.product, braiding(t.field, h.space, h.space)),
-                         h.counit, h.coproduct, h.antipode)
+    op = HopfAlgebraData(h.unit, _opposite_product(h.product), h.counit, h.coproduct,
+                         h.antipode)
     mod = LeftModuleData(hopf=op, carrier=h.space, action=m)
 
     # (i) and (vi) report their counit half when it fails, else the coproduct half

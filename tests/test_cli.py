@@ -564,11 +564,11 @@ def _matches(expected: list[str], got: list[str]) -> bool:
     return bool(got) and got[0] == expected[0] and _matches(expected[1:], got[1:])
 
 
-def _readme_console_block(marker: str) -> list[tuple[list[str], list[str]]]:
+def _readme_console_block(name: str) -> list[tuple[list[str], list[str]]]:
     """(arguments, printed lines) of each `$ braceforge` command in the
-    README console block that follows marker."""
+    README console block marked `<!-- console: name -->`."""
     readme = (Path(__file__).parents[1] / "README.md").read_text()
-    block = readme.split(marker, 1)[1].split("```console\n", 1)[1]
+    block = readme.split(f"<!-- console: {name} -->\n", 1)[1].split("```console\n", 1)[1]
     commands = []
     for line in block.split("```", 1)[0].splitlines():
         if line.startswith("$ "):
@@ -580,12 +580,11 @@ def _readme_console_block(marker: str) -> list[tuple[list[str], list[str]]]:
     return commands
 
 
-@pytest.mark.parametrize("marker", [
-    "A typical session:", "action once, for the module-algebra check:"])
-def test_readme_console_sessions_print_what_they_show(marker, tmp_path,
+@pytest.mark.parametrize("name", ["session", "suite"])
+def test_readme_console_sessions_print_what_they_show(name, tmp_path,
                                                       monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    commands = _readme_console_block(marker)
+    commands = _readme_console_block(name)
     assert commands
     for argv, expected in commands:
         code, out, _ = run(*argv, capsys=capsys)

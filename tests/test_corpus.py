@@ -11,23 +11,24 @@ import sys
 
 from braceforge import (BraceForgeError, HopfBraceData, LeftModuleData,
                         LinMap, MatchedPairData, OppBraceTripleData,
-                        PrimeField, QQ, SkewBraceData,
+                        PrimeField, QQ, SkewBraceData, adjoint_action,
                         build_deformed_hopf, check_brace_identities,
                         check_hopf, check_hopf_brace, check_lemma_mu_recovery,
                         check_module_algebra, check_mp_over_A, check_obt,
                         enumerate_skew_braces, functor_F, functor_G, functor_P,
                         functor_Q, group_algebra, groups_of_order, linearize,
                         mu_tilde, obt_from_matched_pair, roundtrip_FG,
-                        roundtrip_GF, roundtrip_PQ, roundtrip_QP, trivial_brace)
+                        roundtrip_GF, roundtrip_PQ, roundtrip_QP, symmetric_3,
+                        trivial_brace)
 from braceforge import linmap
 from braceforge.brace import BRACE_MAPS
 from braceforge.hopf import HOPF_MAPS
-from braceforge.linmap import componentwise
+from braceforge.linmap import componentwise, legwise
 from braceforge.matched import MP_EXTRA_MAPS
 from braceforge.obt import OBT_EXTRA_MAPS
 from braceforge.suite import row_verdicts
 
-from conftest import clear_caches
+from conftest import clear_caches, package_bindings
 from mutants import reentry
 from test_groups import _relabel
 from test_memo import _doubled
@@ -336,3 +337,39 @@ def test_order_8_checks_build_no_identity_padding(monkeypatch):
     assert 0 < row_builds < brace_builds < len(built)  # the counter sees builds
     assert [(f.shape(), g.shape()) for f, g in built
             if is_identity(f) or is_identity(g)] == []
+
+
+def test_legwise_meets_only_coproducts(monkeypatch):
+    # legwise meets the legs of two coproducts; one coproduct leg passing a
+    # carrier is the interchange of actions.py, so no call of legwise gets
+    # an identity leg.  From cold caches: an order-8 row, the doubled-constant
+    # mutants of the padding test, and the adjoint action's module-algebra
+    # check.
+    legs = []
+
+    def recording(f, g, c1, c2):
+        legs.append((c1, c2))
+        return legwise(f, g, c1, c2)
+
+    for mod, attr, value in package_bindings():
+        if value is legwise:
+            monkeypatch.setattr(mod, attr, recording)
+    clear_caches()
+    s = enumerate_skew_braces(groups_of_order(8)[3])[-1]
+    assert [name for name, ok in row_verdicts(linearize(s, F5)) if not ok] == []
+    row_calls = len(legs)
+    b = trivial_brace(group_algebra(groups_of_order(8)[2], QQ))
+    assert not check_hopf_brace(dataclasses.replace(
+        b, product1=_doubled(b.product1, 5))).ok
+    t = functor_Q(b)
+    assert not check_obt(dataclasses.replace(t, action=_doubled(t.action, 5))).ok
+    mutant_calls = len(legs)
+    h = group_algebra(symmetric_3(), QQ)
+    assert check_module_algebra(adjoint_action(h), h.algebra).ok
+    assert 0 < row_calls < mutant_calls < len(legs)  # the recorder sees calls
+
+    def is_identity(m):
+        return m.domain == m.codomain and m == LinMap.identity(m.field, m.domain)
+
+    assert [(c1.shape(), c2.shape()) for c1, c2 in legs
+            if is_identity(c1) or is_identity(c2)] == []
