@@ -4,14 +4,14 @@ A left module is an action H (x) M -> M; a right module acts from the
 other side, M (x) H -> M.  Each of the six action laws (unit, product,
 carrier unit, carrier product, counit, coproduct) has one body for both
 sides, which a record's ``_legs`` puts in its side's tensor order.  The
-module, module-algebra and module-coalgebra checks are built from them,
-and so are triple axioms (i)-(v) in obt.py and matched-pair axioms
-(i)-(v) in matched.py.  A coproduct leg of H passes the carrier only
-through _interchange, psi_M(h (x) x) = (h_1 |> x) (x) h_2, and H acts on
-M (x) M by one body, (id (x) action) o (psi (x) id), with psi = psi_M or
-a matched pair's psi; legwise meets only the two coproducts of the
-coproduct law.  Both compatibility checks are gated on the module
-axioms, whose report is memoized.
+module checks here, triple axioms (i)-(v) in obt.py, matched-pair axioms
+(i)-(v) in matched.py and the brace compatibility are built from them.
+A coproduct leg of H passes the carrier only through the memoized
+_interchange, psi_M(h (x) x) = (h_1 |> x) (x) h_2, and H acts on M (x) M
+by one body, (id (x) action) o (psi (x) id), with psi = psi_M or a
+matched pair's psi; legwise meets only the two coproducts of the
+coproduct law.  The module-algebra and module-coalgebra checks are gated
+on the module axioms, whose report is memoized.
 """
 from __future__ import annotations
 
@@ -109,6 +109,7 @@ def check_right_module(m: RightModuleData) -> AxiomReport:
     return _check_module(m)
 
 
+@memoize
 def _interchange(m: _ModuleData) -> LinMap:
     """psi_M : H (x) M -> M (x) H, h (x) x -> (h_1 |> x) (x) h_2; for a right
     module x (x) h -> h_1 (x) (x <| h_2).  It moves legs and reads no axiom."""
@@ -133,6 +134,11 @@ def left_tensor_square_action(m: LeftModuleData) -> LinMap:
 def right_tensor_square_action(m: RightModuleData) -> LinMap:
     """Diagonal action of H on M (x) M from the right."""
     return _square_action(m, _interchange(m))
+
+
+def _regular(h: HopfAlgebraData) -> LeftModuleData:
+    """H acting on itself by its product."""
+    return LeftModuleData(hopf=h, carrier=h.space, action=h.product)
 
 
 def _require_on_carrier(m: _ModuleData, space: Space, what: str) -> None:
@@ -193,5 +199,5 @@ def adjoint_action(h: HopfAlgebraData) -> LeftModuleData:
     """H acting on itself by the sandwich action h (x) x -> h_1 x S(h_2)."""
     check_hopf(h).require(PrereqFailed, "adjoint action is gated on check_hopf")
     action = compose(h.product, tensor(LinMap.identity(h.field, h.space), h.antipode),
-                     _interchange(LeftModuleData(hopf=h, carrier=h.space, action=h.product)))
+                     _interchange(_regular(h)))
     return LeftModuleData(hopf=h, carrier=h.space, action=action)

@@ -3,14 +3,15 @@
 The defining compatibility ties the second product to the first through
 the canonical action gamma of the second structure on the first.  For
 cocommutative braces there is additionally a right action phi of the
-second structure on the carrier.  The compatibility and the antipode
-exchange pass a coproduct leg by the second product's interchange.
+second structure on the carrier.  The compatibility is a carrier-product
+law of actions.py; it and the antipode exchange read one interchange.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .actions import LeftModuleData, _interchange
+from .actions import (LeftModuleData, _carrier_product_law, _interchange,
+                      _regular, _square_action)
 from .errors import BraceAxiomsFailed, PrereqFailed
 from .hopf import (HopfAlgebraData, _Record, check_hopf, check_hopf_morphism,
                    deform, require_cocommutative)
@@ -71,14 +72,14 @@ def gamma(b: HopfBraceData) -> LinMap:
 
 @memoize
 def check_hopf_brace(b: HopfBraceData) -> AxiomReport:
-    """Both Hopf structures plus the product compatibility law."""
+    """Both Hopf structures plus the compatibility law, the carrier-product
+    law a .2 (b .1 c) = (a_1 .2 b) .1 (a_2 |> c) with |> = gamma."""
     first = check_hopf(b.first()).prefixed("first.")
     second = check_hopf(b.second()).prefixed("second.")
-    id_h = LinMap.identity(b.field, b.space)
-    lhs = compose(b.product2, tensor(id_h, b.product1))
-    psi2 = _interchange(LeftModuleData(hopf=b.second(), carrier=b.space, action=b.product2))
-    rhs = compose(b.product1, tensor(id_h, gamma(b)), tensor(psi2, id_h))
-    return AxiomReport((*first, *second, equation_entry("compatibility", lhs, rhs)))
+    regular = _regular(b.second())
+    by_gamma = LeftModuleData(hopf=b.second(), carrier=b.space, action=gamma(b))
+    return AxiomReport((*first, *second, _carrier_product_law(
+        regular, b.product1, _square_action(by_gamma, _interchange(regular)), "compatibility")))
 
 
 def phi(b: HopfBraceData) -> LinMap:
@@ -101,13 +102,12 @@ def check_brace_identities(b: HopfBraceData) -> AxiomReport:
     check_hopf_brace(b).require(
         PrereqFailed, "identities are gated on check_hopf_brace")
     id_h = LinMap.identity(b.field, b.space)
-    psi2 = _interchange(LeftModuleData(hopf=b.second(), carrier=b.space, action=b.product2))
     g = gamma(b)
     return AxiomReport((
         equation_entry(
             "action_antipode_exchange",
             compose(g, tensor(id_h, b.antipode1)),
-            compose(b.product1, tensor(b.antipode1, id_h), psi2)),
+            compose(b.product1, tensor(b.antipode1, id_h), _interchange(_regular(b.second())))),
         equation_entry(
             "product2_from_action",
             b.product2, deform(b.product1, b.coproduct, g)),

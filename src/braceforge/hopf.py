@@ -201,13 +201,18 @@ def _opposite_product(product: LinMap) -> LinMap:
     return compose(product, braiding(product.field, product.codomain, product.codomain))
 
 
+def _opposite_coproduct(coproduct: LinMap) -> LinMap:
+    """c_{H,H} o coproduct, the coproduct of H^cop, with no gate."""
+    return compose(braiding(coproduct.field, coproduct.domain, coproduct.domain), coproduct)
+
+
 def is_commutative(h: HopfAlgebraData) -> bool:
     return _opposite_product(h.product) == h.product
 
 
 @memoize
 def is_cocommutative(h: HopfAlgebraData) -> bool:
-    return compose(braiding(h.field, h.space, h.space), h.coproduct) == h.coproduct
+    return _opposite_coproduct(h.coproduct) == h.coproduct
 
 
 def require_cocommutative(h: HopfAlgebraData, message: str) -> None:
@@ -224,8 +229,7 @@ def check_antipode_properties(h: HopfAlgebraData) -> AxiomReport:
     """
     check_hopf(h).require(PrereqFailed,
                           "antipode properties are gated on check_hopf")
-    field, space = h.field, h.space
-    ident = LinMap.identity(field, space)
+    ident = LinMap.identity(h.field, h.space)
     lam = h.antipode
     entries = (
         equation_entry(
@@ -235,7 +239,7 @@ def check_antipode_properties(h: HopfAlgebraData) -> AxiomReport:
         equation_entry(
             "anticomultiplicative",
             compose(h.coproduct, lam),
-            compose(tensor(lam, lam), braiding(field, space, space), h.coproduct)),
+            compose(tensor(lam, lam), _opposite_coproduct(h.coproduct))),
         equation_entry("unit", compose(lam, h.unit), h.unit),
         equation_entry("counit", compose(h.counit, lam), h.counit),
     )

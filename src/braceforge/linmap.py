@@ -33,15 +33,14 @@ coefficient 1 (as the permutation-like structure maps of the corpus do).
 tensor builds no columns: it returns a map that holds its two factors.
 compose reads such an operand through its factors, so a padding
 f o (id (x) g) or (g (x) id) o k costs one pass over the columns of the
-result, and two tensors whose legs line up compose leg by leg, into a
-tensor again.  A tensor's own columns are built once, when something
-first reads them (==, hash, items, entry, rows, legwise, storage or
-pickling), column by column from the factors' columns, by the routine
-that compose streams a misaligned tensor through.  legwise builds its
-result one output column at a time, from the columns of c1, c2, the
-braiding, f and g that the column reaches; it never builds f (x) g,
-c1 (x) c2, id (x) c (x) id or a composite of them, whose dimension is the
-fourth power of the carrier's.
+result.  A tensor's own columns are built once, when something first
+reads them (==, hash, items, entry, rows, legwise, storage or pickling),
+column by column from the factors' columns, by the routine that compose
+streams the right one of two tensors through.  legwise builds its result
+one output column at a time, from the columns of c1, c2, the braiding, f
+and g that the column reaches; it never builds f (x) g, c1 (x) c2,
+id (x) c (x) id or a composite of them, whose dimension is the fourth
+power of the carrier's.
 Products are summed with plain + and *, and each output entry is brought
 into the field's canonical form once, by field.normalize.  All values are
 immutable after construction, so a LinMap hashes once and can key a cache.
@@ -405,9 +404,7 @@ def compose(*maps: LinMap) -> LinMap:
 def _compose2(f: LinMap, g: LinMap) -> LinMap:
     """f o g, column by column: column j is f applied to column j of g.
 
-    A tensor operand is read through its factors and never built.  Two
-    tensors whose legs line up compose leg by leg, by the interchange law
-    (a (x) b) o (c (x) d) = (a o c) (x) (b o d), and stay a tensor.
+    A tensor operand is read through its factors and never built.
     """
     norm = f.field.normalize
     if type(f) is _Tensor:
@@ -416,8 +413,6 @@ def _compose2(f: LinMap, g: LinMap) -> LinMap:
             cols = _apply_tensor(a, b, g._cols.items(), norm)
         else:
             c, d = g._factors
-            if a.domain.dim == c.codomain.dim:
-                return _Tensor(_compose2(a, c), _compose2(b, d))
             cols = _apply_tensor(a, b, _factor_columns(c._cols.items(), d, norm), norm)
     elif type(g) is _Tensor:
         cols = _apply_to_tensor(f._cols, *g._factors, norm)

@@ -249,7 +249,9 @@ def test_interchange_formulas_equal_the_padded_ones(data):
     # tensor legs, so each formula equals the padded one it replaced for any
     # maps.  The brace identities and the adjoint action are gated on axioms
     # that random maps fail; the gates are opened to reach their formulas,
-    # and the right-hand side of each brace entry is recorded.
+    # and the right-hand side of each brace entry is recorded where it is
+    # made: the compatibility in actions' carrier-product law, the antipode
+    # exchange in brace.py.
     field = data.draw(st.sampled_from([QQ, PrimeField(5), PrimeField(7)]))
     n, k = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
 
@@ -272,6 +274,7 @@ def test_interchange_formulas_equal_the_padded_ones(data):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(brace, "equation_entry", recording)
+        mp.setattr(actions, "equation_entry", recording)
         mp.setattr(brace, "check_hopf_brace", lambda _: AxiomReport(()))
         mp.setattr(actions, "check_hopf", lambda _: AxiomReport(()))
         check_hopf_brace.__wrapped__(b)  # past the verdict cache

@@ -2,17 +2,18 @@
 
 check_hopf, check_hopf_brace, check_obt, check_mp_over_A, the module
 axioms behind check_left_module and check_right_module, and
-is_cocommutative keep their last MEMO_SIZE verdicts, gamma, psi, mu_tilde
-and braiding their last MEMO_SIZE maps, and functor_F and functor_Q their
-last MEMO_SIZE records, keyed on the record itself, which compares and
-hashes by its structure maps and never by its meta.  A warm call must
-return what an uncached call returns, witnesses included; the key must
-tell apart maps that differ only in their field; a raising call stores
-nothing; and the cache stays within its bound.  From cold caches, one
-suite row builds each derived map and each functor image once, however
+is_cocommutative keep their last MEMO_SIZE verdicts, gamma, psi, mu_tilde,
+the interchange and braiding their last MEMO_SIZE maps, and functor_F and
+functor_Q their last MEMO_SIZE records, keyed on the record itself, which
+compares and hashes by its structure maps and never by its meta.  A warm
+call must return what an uncached call returns, witnesses included; the
+key must tell apart maps that differ only in their field; a raising call
+stores nothing; and the cache stays within its bound.  From cold caches,
+one suite row builds each derived map and each functor image once, however
 many of its checks and functors ask for it.
 """
 import dataclasses
+import functools
 import sys
 import threading
 
@@ -26,7 +27,7 @@ from braceforge import (BraceForgeError, LinMap, NotDiagonal, PrereqFailed,
                         functor_P, functor_Q, gamma, group_algebra,
                         groups_of_order, is_cocommutative, linearize,
                         mu_tilde, parse_field, psi)
-from braceforge.actions import _check_module
+from braceforge.actions import _check_module, _interchange
 from braceforge.linmap import braiding
 from braceforge.report import MEMO_SIZE, AxiomReport, memoize
 from braceforge.suite import row_verdicts
@@ -38,7 +39,7 @@ from mutants import (broken_antipode, broken_brace, broken_matched_pair,
 F5 = PrimeField(5)
 MEMOIZED = (check_hopf, check_hopf_brace, check_obt, check_mp_over_A,
             _check_module, is_cocommutative, braiding, gamma, psi, mu_tilde,
-            functor_F, functor_Q)
+            _interchange, functor_F, functor_Q)
 
 
 @pytest.fixture(autouse=True)
@@ -49,12 +50,12 @@ def cold_caches():
 
 
 def test_the_memoized_functions_are_pinned():
-    """Adding a cache is a deliberate choice: these twelve functions keep one."""
+    """Adding a cache is a deliberate choice: these thirteen functions keep one."""
     found = memoized_functions()
     assert sorted(found) == sorted([
         "check_hopf", "check_hopf_brace", "check_obt", "check_mp_over_A",
         "_check_module", "is_cocommutative", "braiding", "gamma", "psi",
-        "mu_tilde", "functor_F", "functor_Q"])
+        "mu_tilde", "_interchange", "functor_F", "functor_Q"])
     assert all(found[fn.__name__] is fn for fn in MEMOIZED)
 
 
@@ -186,7 +187,7 @@ def test_suite_row_verifies_each_module_structure_once():
         assert check_hopf.cache_info().misses <= 2
 
 
-def test_suite_row_builds_each_image_once(count_calls):
+def test_suite_row_builds_each_image_once(count_calls, monkeypatch):
     """From cold caches, an order-6 row over Q or Fp:5 builds F(b), Q(b),
     P(Q(b)) and G(F(b)) once each, and no other F or Q: a passing row has
     P(Q(b)) == b and G(F(b)) == b, so the F and Q of its QP, FG and
@@ -195,20 +196,43 @@ def test_suite_row_builds_each_image_once(count_calls):
     check_brace_identities, F's two actions and Q; psi the matched pair
     axioms and the interweaving identity; mu_tilde check_obt, the recovery
     lemma, P and G.  G and P are counted by calls; the cached functions by
-    cache misses, since a cache hit builds nothing."""
+    cache misses, since a cache hit builds nothing.
+
+    The row asks for four interchanges: the second product's, by the brace
+    compatibility and again by the antipode exchange, gamma's, by the
+    module-algebra check, and that of triple axiom (v)'s A^op module.  It
+    builds each distinct one once: 3 builds, or 2 where Q(b)'s action is
+    gamma and A^op is the second structure, so the last two modules are
+    equal."""
     calls = count_calls(functor_G, functor_P)
+    asked = []
+
+    @functools.wraps(_interchange)  # keeps cache_clear, so clear_caches sees it
+    def asking(m):
+        asked.append(m)
+        return _interchange(m)
+
+    for mod, attr, value in package_bindings():
+        if value is _interchange:
+            monkeypatch.setattr(mod, attr, asking)
     rows = [linearize(s, field) for field in (QQ, F5)
             for g in groups_of_order(6) for s in enumerate_skew_braces(g)]
     assert len(rows) == 20
+    interchanges = []
     for b in rows:
         clear_caches()
         calls.update(dict.fromkeys(calls, 0))
+        asked.clear()
         assert all(ok for _, ok in row_verdicts(b))
         assert calls == {"functor_G": 1, "functor_P": 1}
         builds = {fn.__name__: fn.cache_info().misses
                   for fn in (functor_F, functor_Q, gamma, psi, mu_tilde)}
         assert builds == {"functor_F": 1, "functor_Q": 1, "gamma": 1,
                           "psi": 1, "mu_tilde": 1}
+        assert len(asked) == 4
+        assert _interchange.cache_info().misses == len(set(asked))
+        interchanges.append(len(set(asked)))
+    assert interchanges.count(3) == 12 and interchanges.count(2) == 8
 
 
 def test_each_call_builds_its_shared_map_once():

@@ -9,6 +9,10 @@ imported into a test module is not flagged.
 A library module's private names (a leading underscore, not a dunder)
 are not exported, so each one that a module-level def, class or
 assignment binds must be loaded somewhere in the library itself.
+
+Outside linmap.py, the symmetric braiding is called by a fixed set of
+functions, each of which swaps legs on purpose; a new caller, such as a
+formula that could read an interchange instead, has to be added here.
 """
 import ast
 from pathlib import Path
@@ -92,3 +96,35 @@ def test_dead_private_symbols_are_found():
 def test_no_dead_private_symbols_in_the_library():
     sources = {p.name: p.read_text() for p in LIBRARY}
     assert dead_private_symbols(sources) == []
+
+
+def braiding_callers(sources: dict[str, str]) -> set[str]:
+    """module.name for each module-level statement of sources (a def, a
+    class, or any other statement, named <module>) that calls braiding."""
+    callers = set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if any(isinstance(call, ast.Call) and (
+                    isinstance(call.func, ast.Name) and call.func.id == "braiding"
+                    or isinstance(call.func, ast.Attribute) and call.func.attr == "braiding")
+                   for call in ast.walk(node)):
+                callers.add(f"{module}.{getattr(node, 'name', '<module>')}")
+    return callers
+
+
+def test_braiding_callers_are_found():
+    source = ("from .linmap import braiding\n"
+              "from . import linmap\n"
+              "SWAP = braiding(F, A, B)\n"
+              "def named(): return braiding\n"
+              "def direct(): return compose(braiding(F, A, B), g)\n"
+              "class R:\n"
+              "    def swap(self): return linmap.braiding(F, A, B)\n")
+    assert braiding_callers({"m": source}) == {"m.<module>", "m.direct", "m.R"}
+
+
+def test_braiding_is_called_only_where_legs_are_swapped():
+    sources = {p.stem: p.read_text() for p in LIBRARY if p.name != "linmap.py"}
+    assert braiding_callers(sources) == {
+        "actions._interchange", "hopf._opposite_product",
+        "hopf._opposite_coproduct", "matched.check_matched_pair"}
