@@ -7,11 +7,12 @@ sides, which a record's ``_legs`` puts in its side's tensor order.  The
 module checks here, triple axioms (i)-(v) in obt.py, matched-pair axioms
 (i)-(v) in matched.py and the brace compatibility are built from them.
 A coproduct leg of H passes the carrier only through the memoized
-_interchange, psi_M(h (x) x) = (h_1 |> x) (x) h_2, and H acts on M (x) M
-by one body, (id (x) action) o (psi (x) id), with psi = psi_M or a
-matched pair's psi; legwise meets only the two coproducts of the
-coproduct law.  The module-algebra and module-coalgebra checks are gated
-on the module axioms, whose report is memoized.
+_interchange, psi_M(h (x) x) = (h_1 |> x) (x) h_2; only the carrier-product
+law acts by H on M (x) M, as product o (id (x) action) o (psi (x) id) with
+psi = psi_M or a matched pair's psi, and it never builds that action.
+legwise meets only the two coproducts of the coproduct law.  The
+module-algebra and module-coalgebra checks are gated on the module axioms,
+whose report is memoized.
 """
 from __future__ import annotations
 
@@ -56,8 +57,8 @@ class RightModuleData(_ModuleData):
 
 
 # The six action laws, one body each for both sides through the record's
-# _legs; each names the entry it creates.  The carrier-product law takes
-# square_action, how H acts on M (x) M.  No law reads the antipode.
+# _legs; each names the entry it creates.  The carrier-product law takes an
+# interchange and the far carrier leg's action.  No law reads the antipode.
 
 def _unit_law(m: _ModuleData, name: str) -> CheckEntry:
     id_m = LinMap.identity(m.hopf.field, m.carrier)
@@ -78,11 +79,14 @@ def _carrier_unit_law(m: _ModuleData, unit: LinMap, name: str) -> CheckEntry:
                           compose(unit, m.hopf.counit))
 
 
-def _carrier_product_law(m: _ModuleData, product: LinMap, square_action: LinMap,
-                         name: str) -> CheckEntry:
-    id_h = LinMap.identity(m.hopf.field, m.hopf.space)
+def _carrier_product_law(m: _ModuleData, product: LinMap, interchange: LinMap,
+                         far_action: LinMap, name: str) -> CheckEntry:
+    h = m.hopf
+    id_h, id_m = LinMap.identity(h.field, h.space), LinMap.identity(h.field, m.carrier)
+    # Fold left: the product narrows (id (x) far_action) to M before psi.
     return equation_entry(name, compose(m.action, tensor(*m._legs(id_h, product))),
-                          compose(product, square_action))
+                          compose(compose(product, tensor(*m._legs(id_m, far_action))),
+                                  tensor(*m._legs(interchange, id_m))))
 
 
 def _counit_law(m: _ModuleData, counit: LinMap, name: str) -> CheckEntry:
@@ -127,12 +131,12 @@ def _square_action(m: _ModuleData, interchange: LinMap) -> LinMap:
 
 
 def left_tensor_square_action(m: LeftModuleData) -> LinMap:
-    """Diagonal action of H on M (x) M: act on both factors through the coproduct."""
+    """Diagonal action of H on M (x) M through the coproduct; no check reads it."""
     return _square_action(m, _interchange(m))
 
 
 def right_tensor_square_action(m: RightModuleData) -> LinMap:
-    """Diagonal action of H on M (x) M from the right."""
+    """Diagonal action of H on M (x) M from the right; no check reads it."""
     return _square_action(m, _interchange(m))
 
 
@@ -152,11 +156,9 @@ def check_module_algebra(m: _ModuleData, alg: AlgebraData) -> AxiomReport:
     _require_on_carrier(m, alg.space, "algebra")
     _check_module(m).require(
         PrereqFailed, f"module-algebra check is gated on check_{m._side}_module")
-    square_action = (left_tensor_square_action if m._side == "left"
-                     else right_tensor_square_action)
     return AxiomReport((
         _carrier_unit_law(m, alg.unit, "carrier_unit"),
-        _carrier_product_law(m, alg.product, square_action(m), "carrier_product"),
+        _carrier_product_law(m, alg.product, _interchange(m), m.action, "carrier_product"),
     ))
 
 

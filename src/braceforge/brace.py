@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .actions import (LeftModuleData, _carrier_product_law, _interchange,
-                      _regular, _square_action)
+from .actions import _carrier_product_law, _interchange, _regular
 from .errors import BraceAxiomsFailed, PrereqFailed
 from .hopf import (HopfAlgebraData, _Record, check_hopf, check_hopf_morphism,
                    deform, require_cocommutative)
@@ -77,9 +76,8 @@ def check_hopf_brace(b: HopfBraceData) -> AxiomReport:
     first = check_hopf(b.first()).prefixed("first.")
     second = check_hopf(b.second()).prefixed("second.")
     regular = _regular(b.second())
-    by_gamma = LeftModuleData(hopf=b.second(), carrier=b.space, action=gamma(b))
     return AxiomReport((*first, *second, _carrier_product_law(
-        regular, b.product1, _square_action(by_gamma, _interchange(regular)), "compatibility")))
+        regular, b.product1, _interchange(regular), gamma(b), "compatibility")))
 
 
 def phi(b: HopfBraceData) -> LinMap:

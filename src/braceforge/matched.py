@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .actions import (LeftModuleData, RightModuleData, _carrier_product_law,
-                      _carrier_unit_law, _square_action, check_left_module,
-                      check_module_coalgebra, check_right_module,
-                      check_right_module_coalgebra)
+                      _carrier_unit_law, check_left_module, check_module_coalgebra,
+                      check_right_module, check_right_module_coalgebra)
 from .brace import BRACE_MAPS, HopfBraceData, gamma, phi, require_valid_brace
 from .errors import MpAxiomsFailed, NotDiagonal, PrereqFailed
 from .hopf import (HOPF_MAPS, HopfAlgebraData, _check_map,
@@ -91,9 +90,8 @@ def check_matched_pair(m: MatchedPairData) -> AxiomReport:
         if rep.ok:
             axiom_i += check_coalgebra(mod, carrier.coalgebra).prefixed(prefix)
         units.append(_carrier_unit_law(mod, carrier.unit, unit_axiom))
-        # built in the call, so it is freed before the other side's
         products.append(_carrier_product_law(
-            mod, carrier.product, _square_action(mod, ps), product_axiom))
+            mod, carrier.product, ps, mod.action, product_axiom))
     braids = equation_entry(
         "vi",
         compose(braiding(field, a.space, h.space), ps),

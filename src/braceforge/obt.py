@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .actions import (LeftModuleData, _carrier_product_law, _carrier_unit_law,
-                      _coproduct_law, _counit_law, _product_law, _unit_law,
-                      left_tensor_square_action)
+                      _coproduct_law, _counit_law, _interchange, _product_law,
+                      _unit_law)
 from .brace import BRACE_MAPS, HopfBraceData, gamma, require_valid_brace
 from .errors import ObtAxiomsFailed, PrereqFailed
 from .hopf import (HOPF_MAPS, HopfAlgebraData, _opposite_product, _Record,
@@ -89,7 +89,7 @@ def check_obt(t: OppBraceTripleData) -> AxiomReport:
         _unit_law(mod, "ii"),
         _carrier_unit_law(mod, h.unit, "iii"),
         _product_law(mod, "iv"),
-        _carrier_product_law(mod, mu_tilde(t), left_tensor_square_action(mod), "v"),
+        _carrier_product_law(mod, mu_tilde(t), _interchange(mod), m, "v"),
         inv,
         equation_entry("vii", compose(u, u), id_a),
         equation_entry("viii", compose(m, tensor(id_a, u), h.coproduct), h.antipode),

@@ -5,7 +5,8 @@ group_tables walks every permutation of the index set, so it refuses any
 order above ORACLE_ORDER_BOUND before the first one.  The padded formulas
 below are the ones the one-leg interchange replaced: each passes a
 coproduct leg past a carrier through an identity-padded legwise or an
-explicit braiding.
+explicit braiding.  interchanged_square_action is the square action
+through a given interchange, which the carrier-product law never builds.
 """
 import itertools
 
@@ -48,6 +49,16 @@ def padded_tensor_square_action(m):
     legs = (m.hopf.coproduct, id_square)
     return legwise(m.action, m.action,
                    *(legs if isinstance(m, LeftModuleData) else legs[::-1]))
+
+
+def interchanged_square_action(m, interchange):
+    """H on M (x) M as (id (x) action) o (interchange (x) id), with the legs
+    in the order of m's side."""
+    id_m = LinMap.identity(m.hopf.field, m.carrier)
+    far, near = (id_m, m.action), (interchange, id_m)
+    if not isinstance(m, LeftModuleData):
+        far, near = far[::-1], near[::-1]
+    return compose(tensor(*far), tensor(*near))
 
 
 def padded_compatibility(b):

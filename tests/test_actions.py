@@ -2,23 +2,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braceforge import (HopfAlgebraData, HopfBraceData, LeftModuleData, LinMap,
-                        PrimeField, QQ, RightModuleData, Space, adjoint_action,
+from braceforge import (AlgebraData, HopfAlgebraData, HopfBraceData, LeftModuleData,
+                        LinMap, MatchedPairData, OppBraceTripleData, PrimeField, QQ,
+                        RightModuleData, Space, adjoint_action,
                         check_brace_identities, check_hopf_brace, check_left_module,
-                        check_module_algebra, check_module_coalgebra,
-                        check_right_module, check_right_module_coalgebra,
-                        compose, cyclic, dihedral, group_algebra,
-                        left_tensor_square_action, parse_field, phi,
-                        quaternion_8, right_tensor_square_action, symmetric_3,
-                        tensor, trivial_brace)
-from braceforge import actions, brace
+                        check_matched_pair, check_module_algebra,
+                        check_module_coalgebra, check_obt, check_right_module,
+                        check_right_module_coalgebra, compose, cyclic, dihedral,
+                        group_algebra, left_tensor_square_action, mu_tilde,
+                        parse_field, phi, psi, quaternion_8,
+                        right_tensor_square_action, symmetric_3, tensor,
+                        trivial_brace)
+from braceforge import actions, brace, matched, obt
 from braceforge.errors import DimensionMismatch, PrereqFailed
 from braceforge.linmap import equation_entry
 from braceforge.report import AxiomReport
 
 from mutants import reentry, trivial_left_action, trivial_right_action
 from oracles import (braided_adjoint_action, braided_antipode_exchange,
-                     padded_compatibility, padded_tensor_square_action)
+                     interchanged_square_action, padded_compatibility,
+                     padded_tensor_square_action)
 from test_linmap import _dense
 
 
@@ -247,18 +250,23 @@ def test_adjoint_gate_requires_hopf():
 def test_interchange_formulas_equal_the_padded_ones(data):
     # Passing one coproduct leg past a carrier by the interchange only moves
     # tensor legs, so each formula equals the padded one it replaced for any
-    # maps.  The brace identities and the adjoint action are gated on axioms
-    # that random maps fail; the gates are opened to reach their formulas,
-    # and the right-hand side of each brace entry is recorded where it is
-    # made: the compatibility in actions' carrier-product law, the antipode
-    # exchange in brace.py.
+    # maps, and the carrier-product law, which composes the product before
+    # the interchange, equals the product after the square action it never
+    # builds.  The laws, the brace identities and the adjoint action
+    # are gated on axioms that random maps fail; the gates are opened to
+    # reach their formulas, and the right-hand side of each entry is
+    # recorded where it is made: the carrier-product laws in actions.py,
+    # the antipode exchange in brace.py.
     field = data.draw(st.sampled_from([QQ, PrimeField(5), PrimeField(7)]))
     n, k = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
 
     def mk(rows, cols):
         return LinMap.from_rows(field, data.draw(_dense(field, rows, cols)))
 
-    h = HopfAlgebraData(mk(n, 1), mk(n, n * n), mk(1, n), mk(n * n, n), mk(n, n))
+    def mk_hopf(d):
+        return HopfAlgebraData(mk(d, 1), mk(d, d * d), mk(1, d), mk(d * d, d), mk(d, d))
+
+    h = mk_hopf(n)
     left = LeftModuleData(hopf=h, carrier=Space(k), action=mk(k, n * k))
     right = RightModuleData(hopf=h, carrier=Space(k), action=mk(k, k * n))
     assert left_tensor_square_action(left) == padded_tensor_square_action(left)
@@ -266,20 +274,47 @@ def test_interchange_formulas_equal_the_padded_ones(data):
 
     b = HopfBraceData.of(h, HopfAlgebraData(h.unit, mk(n, n * n), h.counit,
                                             h.coproduct, mk(n, n)))
+    alg = AlgebraData(mk(k, 1), mk(k, k * k))
+    t = OppBraceTripleData(hopf=h, action=mk(n, n * n), involution=mk(n, n))
+    pair = MatchedPairData(first=h, second=mk_hopf(k), left_action=mk(n, k * n),
+                           right_action=mk(k, k * n))
     rhs = {}
 
     def recording(name, lhs, right_side):
         rhs[name] = right_side
         return equation_entry(name, lhs, right_side)
 
+    def opened(_):
+        return AxiomReport(())
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(brace, "equation_entry", recording)
         mp.setattr(actions, "equation_entry", recording)
-        mp.setattr(brace, "check_hopf_brace", lambda _: AxiomReport(()))
-        mp.setattr(actions, "check_hopf", lambda _: AxiomReport(()))
+        mp.setattr(brace, "check_hopf_brace", opened)
+        for module in (actions, obt, matched):
+            mp.setattr(module, "check_hopf", opened)
+        mp.setattr(actions, "_check_module", opened)
         check_hopf_brace.__wrapped__(b)  # past the verdict cache
         check_brace_identities(b)
         adjoint = adjoint_action(h)
+        check_module_algebra(left, alg)
+        left_carrier_product = rhs["carrier_product"]
+        check_module_algebra(right, alg)
+        right_carrier_product = rhs["carrier_product"]
+        check_obt.__wrapped__(t)
+        triple_v = rhs["v"]
+        check_matched_pair(pair)
     assert rhs["compatibility"] == padded_compatibility(b)
+    assert left_carrier_product == compose(alg.product, padded_tensor_square_action(left))
+    assert right_carrier_product == compose(alg.product, padded_tensor_square_action(right))
+    triple_module = LeftModuleData(hopf=h, carrier=h.space, action=t.action)
+    assert triple_v == compose(mu_tilde(t), padded_tensor_square_action(triple_module))
+    ps = psi(pair)
+    pair_left = LeftModuleData(hopf=pair.second, carrier=h.space, action=pair.left_action)
+    pair_right = RightModuleData(hopf=h, carrier=pair.second.space,
+                                 action=pair.right_action)
+    assert rhs["iv"] == compose(h.product, interchanged_square_action(pair_left, ps))
+    assert rhs["v"] == compose(pair.second.product,
+                               interchanged_square_action(pair_right, ps))
     assert rhs["action_antipode_exchange"] == braided_antipode_exchange(b)
     assert adjoint.action == braided_adjoint_action(h)

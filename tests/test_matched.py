@@ -15,6 +15,7 @@ from braceforge import (LeftModuleData, LinMap, MatchedPairData, QQ,
                         right_tensor_square_action, roundtrip_FG,
                         roundtrip_GF, roundtrip_PQ, roundtrip_QP,
                         symmetric_3, tensor, trivial_brace)
+from braceforge import actions
 from braceforge.errors import (MpAxiomsFailed, NotCocommutative, NotDiagonal,
                                PrereqFailed)
 from braceforge.linmap import legwise
@@ -277,20 +278,22 @@ def test_tensor_square_route_is_the_morphism_route(corpus):
 
 
 def test_suite_row_checks_each_module_coalgebra_once(corpus, count_calls):
-    # Two left tensor-square actions on b (x) b are built per row: one for
-    # gamma's module-algebra check and one for axiom (v) of Q(b); both
-    # module-coalgebra checks compute their law through legwise alone.
-    # Each is built by its side's public function, so a tracer counts it.
+    # No check builds H's action on b (x) b: the carrier-product law reads
+    # the interchange and the far action, and both module-coalgebra checks
+    # compute their law through legwise alone.  The public tensor-square
+    # actions and their shared body _square_action are each built 0 times.
     calls = count_calls(check_module_coalgebra, check_right_module_coalgebra,
-                        left_tensor_square_action, right_tensor_square_action)
+                        left_tensor_square_action, right_tensor_square_action,
+                        actions._square_action)
     rows = [b for _, s, b in corpus if s.order <= 4]
     for b in rows:
         clear_caches()
         list(row_verdicts(b))
     assert calls == {"check_module_coalgebra": len(rows),
                      "check_right_module_coalgebra": len(rows),
-                     "left_tensor_square_action": 2 * len(rows),
-                     "right_tensor_square_action": 0}
+                     "left_tensor_square_action": 0,
+                     "right_tensor_square_action": 0,
+                     "_square_action": 0}
 
 
 def _sign(perm) -> int:
