@@ -12,7 +12,8 @@ law acts by H on M (x) M, as product o (id (x) action) o (psi (x) id) with
 psi = psi_M or a matched pair's psi, and it never builds that action.
 legwise meets only the two coproducts of the coproduct law.  The
 module-algebra and module-coalgebra checks are gated on the module axioms,
-whose report is memoized.
+whose report is memoized; so is the module-coalgebra report, one body for
+both sides keyed on the module and the coalgebra.
 """
 from __future__ import annotations
 
@@ -162,6 +163,7 @@ def check_module_algebra(m: _ModuleData, alg: AlgebraData) -> AxiomReport:
     ))
 
 
+@memoize
 def _check_module_coalgebra(m: _ModuleData, coa: CoalgebraData) -> AxiomReport:
     _require_on_carrier(m, coa.space, "coalgebra")
     _check_module(m).require(

@@ -70,6 +70,13 @@ def gamma(b: HopfBraceData) -> LinMap:
 
 
 @memoize
+def _q_action(b: HopfBraceData) -> LinMap:
+    """gamma o (antipode2 (x) id): the action of the triple Q(b), which also
+    recovers the first product from the second."""
+    return compose(gamma(b), tensor(b.antipode2, LinMap.identity(b.field, b.space)))
+
+
+@memoize
 def check_hopf_brace(b: HopfBraceData) -> AxiomReport:
     """Both Hopf structures plus the compatibility law, the carrier-product
     law a .2 (b .1 c) = (a_1 .2 b) .1 (a_2 |> c) with |> = gamma."""
@@ -80,6 +87,7 @@ def check_hopf_brace(b: HopfBraceData) -> AxiomReport:
         regular, b.product1, _interchange(regular), gamma(b), "compatibility")))
 
 
+@memoize
 def phi(b: HopfBraceData) -> LinMap:
     """Right action of the second structure on the carrier, for
     cocommutative braces:
@@ -111,9 +119,7 @@ def check_brace_identities(b: HopfBraceData) -> AxiomReport:
             b.product2, deform(b.product1, b.coproduct, g)),
         equation_entry(
             "product1_from_action",
-            b.product1,
-            deform(b.product2, b.coproduct,
-                   compose(g, tensor(b.antipode2, id_h)))),
+            b.product1, deform(b.product2, b.coproduct, _q_action(b))),
     ))
 
 

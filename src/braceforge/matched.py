@@ -135,6 +135,7 @@ def functor_F(b: HopfBraceData) -> MatchedPairData:
         first=h2, second=h2, left_action=gamma(b), right_action=phi(b))
 
 
+@memoize
 def functor_G(m: MatchedPairData) -> HopfBraceData:
     """Diagonal matched pair to brace: the deformation brace (functor_P's
     construction) of the triple the pair induces."""
@@ -153,6 +154,7 @@ def roundtrip_GF(b: HopfBraceData) -> AxiomReport:
     return componentwise(functor_G(functor_F(b)), b, BRACE_MAPS)
 
 
+@memoize
 def obt_from_matched_pair(m: MatchedPairData) -> OppBraceTripleData:
     """The opposite brace triple induced directly by a diagonal matched
     pair: action = left_action o (antipode (x) id), involution =

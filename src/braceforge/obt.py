@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from .actions import (LeftModuleData, _carrier_product_law, _carrier_unit_law,
                       _coproduct_law, _counit_law, _interchange, _product_law,
                       _unit_law)
-from .brace import BRACE_MAPS, HopfBraceData, gamma, require_valid_brace
+from .brace import BRACE_MAPS, HopfBraceData, _q_action, require_valid_brace
 from .errors import ObtAxiomsFailed, PrereqFailed
 from .hopf import (HOPF_MAPS, HopfAlgebraData, _opposite_product, _Record,
                    check_hopf, check_hopf_morphism, deform, require_cocommutative)
@@ -135,6 +135,7 @@ def _deformation_brace(t: OppBraceTripleData) -> HopfBraceData:
                                             h.coproduct, t.involution), h)
 
 
+@memoize
 def functor_P(t: OppBraceTripleData) -> HopfBraceData:
     """Triple to brace: first structure deformed, second the original;
     gated on cocommutativity and the triple axioms."""
@@ -150,10 +151,8 @@ def functor_Q(b: HopfBraceData) -> OppBraceTripleData:
     require_cocommutative(
         b.first(), "triple extraction needs a cocommutative coproduct")
     require_valid_brace(b)
-    id_h = LinMap.identity(b.field, b.space)
-    action = compose(gamma(b), tensor(b.antipode2, id_h))
     return OppBraceTripleData(
-        hopf=b.second(), action=action, involution=b.antipode1)
+        hopf=b.second(), action=_q_action(b), involution=b.antipode1)
 
 
 def roundtrip_PQ(b: HopfBraceData) -> AxiomReport:

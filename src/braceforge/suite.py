@@ -4,10 +4,11 @@ A row checks the paper's two equivalences on one Hopf brace b: the triple
 t = Q(b) and the brace P(t), and the matched pair m = F(b) and the brace
 G(m).  Every record compares by its structure maps, never by its meta, so
 each roundtrip verdict is the paper's equation between the rebuilt record
-and the original.  F and Q are memoized, so a passing row builds each of
-F(b), Q(b), P(t) and G(m) once.  The witnesses of a failing roundtrip
-come from roundtrip_PQ, roundtrip_QP, roundtrip_FG and roundtrip_GF,
-which `braceforge roundtrip` runs.
+and the original.  All four functors are memoized, so a passing row
+builds each of F(b), Q(b), P(t) and G(m) once, and phi, Q's action and
+obt_from_matched_pair(m) once, whichever gate asks.  The witnesses of a
+failing roundtrip come from roundtrip_PQ, roundtrip_QP, roundtrip_FG and
+roundtrip_GF, which `braceforge roundtrip` runs.
 """
 from __future__ import annotations
 

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from braceforge import (AlgebraData, HopfAlgebraData, HopfBraceData, LeftModuleData,
@@ -245,7 +245,10 @@ def test_adjoint_gate_requires_hopf():
 
 # -- one coproduct leg past a carrier ------------------------------------------
 
-@settings(deadline=None, max_examples=60)
+# No shrink phase: shrinking replays some twenty dense maps per example and
+# takes minutes, while the unshrunk failing example is reported at once.
+@settings(deadline=None, max_examples=60,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(st.data())
 def test_interchange_formulas_equal_the_padded_ones(data):
     # Passing one coproduct leg past a carrier by the interchange only moves

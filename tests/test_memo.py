@@ -1,16 +1,18 @@
 """The verdict caches, the cached derived maps and the cached functors.
 
 check_hopf, check_hopf_brace, check_obt, check_mp_over_A, the module
-axioms behind check_left_module and check_right_module, and
-is_cocommutative keep their last MEMO_SIZE verdicts, gamma, psi, mu_tilde,
-the interchange and braiding their last MEMO_SIZE maps, and functor_F and
-functor_Q their last MEMO_SIZE records, keyed on the record itself, which
-compares and hashes by its structure maps and never by its meta.  A warm
-call must return what an uncached call returns, witnesses included; the
-key must tell apart maps that differ only in their field; a raising call
-stores nothing; and the cache stays within its bound.  From cold caches,
-one suite row builds each derived map and each functor image once, however
-many of its checks and functors ask for it.
+axioms behind check_left_module and check_right_module, the module-coalgebra
+report behind check_module_coalgebra and check_right_module_coalgebra, and
+is_cocommutative keep their last MEMO_SIZE verdicts; gamma, phi, Q's action,
+psi, mu_tilde, the interchange and braiding their last MEMO_SIZE maps; and
+all four functors and obt_from_matched_pair their last MEMO_SIZE records,
+keyed on the record itself, which compares and hashes by its structure maps
+and never by its meta.  A warm call must return what an uncached call
+returns, witnesses included; the key must tell apart maps that differ only
+in their field; a raising call stores nothing; and the cache stays within
+its bound.  From cold caches, one suite row, or the same checks asked for
+through the public functions, builds each derived map and each functor
+image once, however many of its checks and functors ask for it.
 """
 import dataclasses
 import functools
@@ -20,14 +22,17 @@ import threading
 import pytest
 
 import braceforge
-from braceforge import (BraceForgeError, LinMap, NotDiagonal, PrereqFailed,
-                        PrimeField, QQ, Space, check_hopf, check_hopf_brace,
+from braceforge import (BraceForgeError, CoalgebraData, LeftModuleData, LinMap,
+                        MpAxiomsFailed, NotDiagonal, PrereqFailed, PrimeField,
+                        QQ, RightModuleData, Space, check_hopf, check_hopf_brace,
                         check_mp_over_A, check_obt, cyclic,
                         enumerate_skew_braces, functor_F, functor_G,
                         functor_P, functor_Q, gamma, group_algebra,
                         groups_of_order, is_cocommutative, linearize,
-                        mu_tilde, parse_field, psi)
-from braceforge.actions import _check_module, _interchange
+                        mu_tilde, obt_from_matched_pair, parse_field, phi, psi)
+from braceforge.actions import (_check_module, _check_module_coalgebra,
+                                _interchange)
+from braceforge.brace import _q_action
 from braceforge.linmap import braiding
 from braceforge.report import MEMO_SIZE, AxiomReport, memoize
 from braceforge.suite import row_verdicts
@@ -38,8 +43,9 @@ from mutants import (broken_antipode, broken_brace, broken_matched_pair,
 
 F5 = PrimeField(5)
 MEMOIZED = (check_hopf, check_hopf_brace, check_obt, check_mp_over_A,
-            _check_module, is_cocommutative, braiding, gamma, psi, mu_tilde,
-            _interchange, functor_F, functor_Q)
+            _check_module, _check_module_coalgebra, is_cocommutative, braiding,
+            gamma, phi, _q_action, psi, mu_tilde, _interchange, functor_F,
+            functor_G, functor_P, functor_Q, obt_from_matched_pair)
 
 
 @pytest.fixture(autouse=True)
@@ -50,12 +56,14 @@ def cold_caches():
 
 
 def test_the_memoized_functions_are_pinned():
-    """Adding a cache is a deliberate choice: these thirteen functions keep one."""
+    """Adding a cache is a deliberate choice: these nineteen functions keep one."""
     found = memoized_functions()
     assert sorted(found) == sorted([
         "check_hopf", "check_hopf_brace", "check_obt", "check_mp_over_A",
-        "_check_module", "is_cocommutative", "braiding", "gamma", "psi",
-        "mu_tilde", "_interchange", "functor_F", "functor_Q"])
+        "_check_module", "_check_module_coalgebra", "is_cocommutative",
+        "braiding", "gamma", "phi", "_q_action", "psi", "mu_tilde",
+        "_interchange", "functor_F", "functor_G", "functor_P", "functor_Q",
+        "obt_from_matched_pair"])
     assert all(found[fn.__name__] is fn for fn in MEMOIZED)
 
 
@@ -73,12 +81,24 @@ def _doubled(m: LinMap, which: int = 0) -> LinMap:
     return reentry(m, {key: m.field.add(v, v)})
 
 
+def _modules(m):
+    """The module-coalgebra calls behind axiom (i) of the matched pair m:
+    each side's module over its carrier's coalgebra."""
+    left = LeftModuleData(hopf=m.second, carrier=m.first.space,
+                          action=m.left_action)
+    right = RightModuleData(hopf=m.first, carrier=m.second.space,
+                            action=m.right_action)
+    return [("check_module_coalgebra", (left, m.first.coalgebra)),
+            ("check_right_module_coalgebra", (right, m.second.coalgebra))]
+
+
 def _calls():
-    """(function name, input): every order <= 4 linearized brace over Q and
-    Fp:5 with its Q and F images, one-constant mutants of each, and the
+    """(function name, arguments): every order <= 4 linearized brace over Q
+    and Fp:5 with its Q and F images, one-constant mutants of each, and the
     mutants of tests/mutants.py, each given to its checker and to the
-    derived map it is built on; every brace given to check_hopf_brace also
-    goes to functor_F and functor_Q."""
+    derived maps and functors built on it; every matched pair's two modules
+    go to the module-coalgebra checks, and so do each brace's regular
+    modules over its coalgebra with one coproduct constant doubled."""
     out = []
     for spec in ("Q", "Fp:5"):
         for order in range(1, 5):
@@ -89,6 +109,14 @@ def _calls():
                     out += [("check_hopf", b.first()), ("check_hopf", b.second()),
                             ("check_hopf_brace", b), ("check_obt", t),
                             ("check_mp_over_A", m)]
+                    # the regular modules moving the basis element whose
+                    # coproduct constant is doubled fail the coproduct law
+                    h, doubled = b.second(), CoalgebraData(
+                        b.counit, _doubled(b.coproduct, i))
+                    out += [("check_module_coalgebra", (LeftModuleData(
+                                hopf=h, carrier=h.space, action=h.product), doubled)),
+                            ("check_right_module_coalgebra", (RightModuleData(
+                                hopf=h, carrier=h.space, action=h.product), doubled))]
                     if order > 1:
                         out += [
                             ("check_hopf_brace", dataclasses.replace(
@@ -104,15 +132,22 @@ def _calls():
             for a in ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii")]
     out += [("check_mp_over_A", broken_matched_pair(a))
             for a in ("i", "ii", "iii", "iv", "v", "vi")]
-    derived = {"check_hopf_brace": ("gamma", "functor_F", "functor_Q"),
-               "check_obt": ("mu_tilde",), "check_mp_over_A": ("psi",)}
-    return out + [(fn, x) for name, x in out for fn in derived.get(name, ())]
+    derived = {"check_hopf_brace": ("gamma", "phi", "_q_action", "functor_F",
+                                    "functor_Q"),
+               "check_obt": ("mu_tilde", "functor_P"),
+               "check_mp_over_A": ("psi", "functor_G", "obt_from_matched_pair")}
+    out += [(fn, x) for name, x in out for fn in derived.get(name, ())]
+    out += [call for name, m in out if name == "check_mp_over_A"
+            for call in _modules(m)]
+    return [(name, x if isinstance(x, tuple) else (x,)) for name, x in out]
 
 
-def _outcome(name: str, x):
-    """The report or map, or the class and message of the error raised."""
+def _outcome(name: str, args: tuple):
+    """The report, map or record, or the class and message of the error raised."""
+    # Q's action, _q_action, is the one cache the package does not export
+    fn = getattr(braceforge, name, None) or getattr(braceforge.brace, name)
     try:
-        return getattr(braceforge, name)(x)
+        return fn(*args)
     except BraceForgeError as exc:
         return (type(exc), str(exc))
 
@@ -121,9 +156,13 @@ def _rebuilt(x):
     """x with every map a new, equal LinMap and every meta replaced."""
     if isinstance(x, LinMap):
         return LinMap(x.field, x.domain, x.codomain, dict(x.items()))
-    return dataclasses.replace(x, meta={"label": "rebuilt"}, **{
-        f.name: _rebuilt(getattr(x, f.name))
-        for f in dataclasses.fields(x) if f.name != "meta"})
+    if isinstance(x, Space):
+        return Space(x.dim)
+    rebuilt = {f.name: _rebuilt(getattr(x, f.name))
+               for f in dataclasses.fields(x) if f.name != "meta"}
+    if "meta" in {f.name for f in dataclasses.fields(x)}:
+        rebuilt["meta"] = {"label": "rebuilt"}
+    return dataclasses.replace(x, **rebuilt)
 
 
 def test_warm_reports_equal_uncached_ones(monkeypatch):
@@ -131,17 +170,26 @@ def test_warm_reports_equal_uncached_ones(monkeypatch):
     clear_caches()  # building the inputs ran the gates
     with monkeypatch.context() as patch:
         _uncached(patch)
-        cold = [_outcome(name, x) for name, x in calls]
+        cold = [_outcome(name, args) for name, args in calls]
     assert all(fn.cache_info().misses == 0 for fn in MEMOIZED)
     # warm: each input as a new but equal record, then as itself
-    warm = [_outcome(name, y) for name, x in calls for y in (_rebuilt(x), x)]
+    warm = [_outcome(name, y) for name, args in calls
+            for y in (tuple(map(_rebuilt, args)), args)]
     want_twice = [c for c in cold for _ in range(2)]
     assert warm == want_twice
     for got, want in zip(warm, want_twice):
         if isinstance(want, AxiomReport):
             assert (str(got), got.to_dict()) == (str(want), want.to_dict())
-    assert any(not rep.ok for rep in cold if isinstance(rep, AxiomReport))
     assert any(isinstance(rep, tuple) for rep in cold)  # NotDiagonal
+    # every gated cache is also asked for on inputs that fail or raise
+    failing = {name for (name, _), got in zip(calls, cold)
+               if isinstance(got, tuple)
+               or (isinstance(got, AxiomReport) and not got.ok)}
+    assert failing == {"check_hopf", "check_hopf_brace", "check_obt",
+                       "check_mp_over_A", "check_module_coalgebra",
+                       "check_right_module_coalgebra", "functor_F",
+                       "functor_Q", "functor_P", "functor_G",
+                       "obt_from_matched_pair"}
     assert all(fn.cache_info().hits > 0 for fn in MEMOIZED)
 
 
@@ -192,11 +240,13 @@ def test_suite_row_builds_each_image_once(count_calls, monkeypatch):
     P(Q(b)) and G(F(b)) once each, and no other F or Q: a passing row has
     P(Q(b)) == b and G(F(b)) == b, so the F and Q of its QP, FG and
     obt_from_mp verdicts are cache hits on F(b) and Q(b).  It also builds
-    gamma, psi and mu_tilde once each: gamma serves check_hopf_brace,
-    check_brace_identities, F's two actions and Q; psi the matched pair
-    axioms and the interweaving identity; mu_tilde check_obt, the recovery
-    lemma, P and G.  G and P are counted by calls; the cached functions by
-    cache misses, since a cache hit builds nothing.
+    gamma, psi, mu_tilde, Q's action and obt_from_matched_pair(F(b)) once
+    each: gamma serves check_hopf_brace, check_brace_identities, F's two
+    actions and Q's action; Q's action check_brace_identities and Q; psi
+    the matched pair axioms and the interweaving identity; mu_tilde
+    check_obt, the recovery lemma, P and G; the triple of F(b) G and the
+    obt_from_mp verdict.  G and P are counted by calls; the other cached
+    functions by cache misses, since a cache hit builds nothing.
 
     The row asks for four interchanges: the second product's, by the brace
     compatibility and again by the antipode exchange, gamma's, by the
@@ -226,13 +276,63 @@ def test_suite_row_builds_each_image_once(count_calls, monkeypatch):
         assert all(ok for _, ok in row_verdicts(b))
         assert calls == {"functor_G": 1, "functor_P": 1}
         builds = {fn.__name__: fn.cache_info().misses
-                  for fn in (functor_F, functor_Q, gamma, psi, mu_tilde)}
+                  for fn in (functor_F, functor_Q, gamma, psi, mu_tilde,
+                             _q_action, obt_from_matched_pair)}
         assert builds == {"functor_F": 1, "functor_Q": 1, "gamma": 1,
-                          "psi": 1, "mu_tilde": 1}
+                          "psi": 1, "mu_tilde": 1, "_q_action": 1,
+                          "obt_from_matched_pair": 1}
         assert len(asked) == 4
         assert _interchange.cache_info().misses == len(set(asked))
         interchanges.append(len(set(asked)))
     assert interchanges.count(3) == 12 and interchanges.count(2) == 8
+
+
+def test_public_calls_build_each_structure_once():
+    """From cold caches, the 13 verdicts of a suite row asked for through
+    the public functions, as a caller without row_verdicts would, on every
+    order-6 brace over Q and Fp:5, build phi, Q's action, P(Q(b)), G(F(b))
+    and obt_from_matched_pair(F(b)) once each, though phi is asked for
+    twice, P three times, G three times and obt_from_matched_pair four
+    times.  The module-coalgebra report is built once per side, though the
+    module checks and matched-pair axiom (i) both ask for each side's.
+    Builds are counted by cache misses, since a cache hit builds nothing."""
+    bf = braceforge
+    rows = [linearize(s, field) for field in (QQ, F5)
+            for g in groups_of_order(6) for s in enumerate_skew_braces(g)]
+    assert len(rows) == 20
+    for b in rows:
+        clear_caches()
+        h1, h2 = b.first(), b.second()
+        left = bf.LeftModuleData(hopf=h2, carrier=b.space, action=bf.gamma(b))
+        right = bf.RightModuleData(hopf=h2, carrier=b.space, action=bf.phi(b))
+        t, m = bf.functor_Q(b), bf.functor_F(b)
+        direct, via_g = bf.obt_from_matched_pair(m), bf.functor_Q(bf.functor_G(m))
+        verdicts = [
+            bf.check_hopf_brace(b).ok,
+            bf.check_brace_identities(b).ok,
+            bf.check_left_module(left).ok,
+            bf.check_module_algebra(left, h1.algebra).ok,
+            bf.check_module_coalgebra(left, h1.coalgebra).ok,
+            bf.check_right_module(right).ok,
+            bf.check_right_module_coalgebra(right, h1.coalgebra).ok,
+            bf.check_obt(t).ok,
+            bf.check_lemma_mu_recovery(t).ok,
+            bf.check_hopf(bf.build_deformed_hopf(t)).ok,
+            bf.mu_tilde(t) == b.product1,
+            bf.roundtrip_PQ(b).ok,
+            bf.roundtrip_QP(t).ok,
+            bf.check_mp_over_A(m).ok,
+            bf.roundtrip_FG(m).ok,
+            bf.roundtrip_GF(b).ok,
+            direct == via_g,
+        ]
+        assert all(verdicts)
+        builds = {fn.__name__: fn.cache_info().misses
+                  for fn in (phi, _q_action, functor_P, functor_G,
+                             obt_from_matched_pair, _check_module_coalgebra)}
+        assert builds == {"phi": 1, "_q_action": 1, "functor_P": 1,
+                          "functor_G": 1, "obt_from_matched_pair": 1,
+                          "_check_module_coalgebra": 2}
 
 
 def test_each_call_builds_its_shared_map_once():
@@ -302,6 +402,19 @@ def test_errors_are_not_cached():
     assert check_obt.cache_info().currsize == 0
     # the failing Hopf report behind the gate is a verdict, so it is kept
     assert check_hopf.cache_info().currsize == 1
+    pair = broken_matched_pair("i")  # its left action is not a module
+    left = LeftModuleData(hopf=pair.second, carrier=pair.first.space,
+                          action=pair.left_action)
+    for _ in range(2):
+        with pytest.raises(PrereqFailed):
+            braceforge.check_module_coalgebra(left, pair.first.coalgebra)
+    assert _check_module_coalgebra.cache_info().currsize == 0
+    for _ in range(2):
+        for fn in (obt_from_matched_pair, functor_G):
+            with pytest.raises(MpAxiomsFailed):
+                fn(pair)
+    assert obt_from_matched_pair.cache_info().currsize == 0
+    assert functor_G.cache_info().currsize == 0
 
 
 def test_memoize_under_threads():
