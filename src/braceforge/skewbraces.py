@@ -185,15 +185,15 @@ def klein_4() -> CayleyTable:
     return direct_product(cyclic(2), cyclic(2), "Z2xZ2")
 
 
-_BUILTIN_FACTORIES = {
-    "S3": symmetric_3,
-    "D3": lambda: dihedral(3),
-    "D4": lambda: dihedral(4),
-    "Q8": quaternion_8,
-    "V4": klein_4,
-    "Z2XZ2": klein_4,
-    "Z2XZ4": lambda: direct_product(cyclic(2), cyclic(4), "Z2xZ4"),
-    "Z2XZ2XZ2": lambda: direct_product(cyclic(2), klein_4(), "Z2xZ2xZ2"),
+# Each order's groups in suite order; each table's label is its builtin name.
+_CATALOGUE = {
+    1: (lambda: cyclic(1),), 2: (lambda: cyclic(2),), 3: (lambda: cyclic(3),),
+    4: (lambda: cyclic(4), klein_4), 5: (lambda: cyclic(5),),
+    6: (lambda: cyclic(6), symmetric_3), 7: (lambda: cyclic(7),),
+    8: (lambda: cyclic(8),
+        lambda: direct_product(cyclic(2), cyclic(4), "Z2xZ4"),
+        lambda: direct_product(cyclic(2), klein_4(), "Z2xZ2xZ2"),
+        lambda: dihedral(4), quaternion_8),
 }
 
 
@@ -206,14 +206,18 @@ def _cyclic_order(name: str) -> int | None:
 
 
 def builtin_group(name: str) -> CayleyTable:
-    """Look up a named group: Z<n>, S3, D3, D4, Q8, V4, Z2xZ2, Z2xZ4, Z2xZ2xZ2."""
+    """Look up a named group: Z<n>, a catalogue label, V4 (Z2xZ2) or D3."""
+    n = _cyclic_order(name)
+    if n is not None:
+        return cyclic(n)
     key = name.strip().upper()
-    if key in _BUILTIN_FACTORIES:
-        return _BUILTIN_FACTORIES[key]()
-    n = _cyclic_order(key)
-    if n is None:
-        raise ValueError(f"unknown builtin group {name!r}")
-    return cyclic(n)
+    for make in itertools.chain.from_iterable(_CATALOGUE.values()):
+        g = make()
+        if g.label.upper() == {"V4": "Z2XZ2"}.get(key, key):
+            return g
+    if key == "D3":
+        return dihedral(3)  # S3 labelled its own way, under no order
+    raise ValueError(f"unknown builtin group {name!r}")
 
 
 def builtin_order(name: str) -> int:
@@ -223,14 +227,9 @@ def builtin_order(name: str) -> int:
 
 def groups_of_order(n: int) -> list[CayleyTable]:
     """One representative per isomorphism class, orders 1 through 8."""
-    reps = {
-        1: ["Z1"], 2: ["Z2"], 3: ["Z3"], 4: ["Z4", "V4"], 5: ["Z5"],
-        6: ["Z6", "S3"], 7: ["Z7"],
-        8: ["Z8", "Z2xZ4", "Z2xZ2xZ2", "D4", "Q8"],
-    }
-    if n not in reps:
+    if n not in _CATALOGUE:
         raise OrderTooLarge(f"no group catalogue for order {n}")
-    return [builtin_group(name) for name in reps[n]]
+    return [make() for make in _CATALOGUE[n]]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import functools
 import sys
+import warnings
 
 import pytest
 
@@ -7,6 +8,16 @@ from braceforge import (enumerate_skew_braces, groups_of_order, linearize,
                         parse_field)
 
 FIELD_SPECS = ("Q", "Fp:5")
+
+# hypothesis imports libcst when it reports a failing example, and libcst's
+# import warns through mypy_extensions.TypedDict; under -W error that warning
+# turns the failure into an INTERNALERROR.  Import it once here, quietly.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import libcst  # noqa: F401
+    except ImportError:
+        pass
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from functools import lru_cache
 from itertools import permutations, product
 from math import factorial
@@ -26,13 +27,47 @@ def test_builtin_tables_are_groups():
         assert rep.ok, t.label
 
 
+# (label, identity, order, sha256 of the table) for every name README lists;
+# V4 is an alias of Z2xZ2, and D3 labels S3 its own way
+BUILTIN_LOOKUPS = {
+    "Z2xZ2": ("Z2xZ2", 0, 4,
+              "03dc126565fc1335976f09a73e2985526987d4db9118343fcab4dcd94abe455a"),
+    "v4": ("Z2xZ2", 0, 4,
+           "03dc126565fc1335976f09a73e2985526987d4db9118343fcab4dcd94abe455a"),
+    "Z2xZ4": ("Z2xZ4", 0, 8,
+              "028f3e4b0454e5343b7def100558db9af14d77f38f12e51fa2e5ebffa028ce2e"),
+    "Z2xZ2xZ2": ("Z2xZ2xZ2", 0, 8,
+                 "3f285b4ed16ad3020ecde79db0d1cce796618db7d0bba10718ea281455e93e1c"),
+    "S3": ("S3", 0, 6,
+           "04734113c8f3b77035d22c065322e0f8a39e92aeb53a92a3c6d0628d4621058d"),
+    "D3": ("D3", 0, 6,
+           "924ab49b3e11e4ffb995f3a1ce546f0117a3d5828f4329d6ea6a9420ad4b7bb3"),
+    "D4": ("D4", 0, 8,
+           "7f84f819f13390977c8d7fdf324659eae43280f099cd99646d1055137ef3fd27"),
+    "Q8": ("Q8", 0, 8,
+           "b3bad55a727b5eff4152bd9180acc69ae8b7d9f12f5375065c0327388b58e353"),
+    " q8 ": ("Q8", 0, 8,
+             "b3bad55a727b5eff4152bd9180acc69ae8b7d9f12f5375065c0327388b58e353"),
+    "z7": ("Z7", 0, 7,
+           "f93b4a9a695d6a63e32cf6f8a4e11d130978c3dd45d3971e8777a13e8d123dad"),
+    "Z12": ("Z12", 0, 12,
+            "1b99427c98027f981e00b83b90a565e76a6f15c796f3314111c741782aac4057"),
+}
+
+
 def test_builtin_group_lookup():
+    for name, (label, identity, order, digest) in BUILTIN_LOOKUPS.items():
+        g = builtin_group(name)
+        found = (g.label, g.identity, g.order,
+                 hashlib.sha256(repr(g.table).encode()).hexdigest())
+        assert found == (label, identity, order, digest), name
+        assert skewbraces.builtin_order(name) == order, name
     assert builtin_group("S3").table == symmetric_3().table
-    with pytest.raises(ValueError):
-        builtin_group("M11")
-    for name in ("Z٣", "Z３"):
-        with pytest.raises(ValueError, match="unknown builtin group"):
-            builtin_group(name)
+    for name in ("M11", "Z0", "Z", "", "Z٣", "Z３"):
+        for lookup in (builtin_group, skewbraces.builtin_order):
+            with pytest.raises(ValueError,
+                               match=rf"^unknown builtin group {re.escape(repr(name))}$"):
+                lookup(name)
 
 
 def test_group_witnesses_are_element_tuples():
@@ -76,6 +111,25 @@ def test_groups_of_order_census():
         assert len(gs) == count, n
         for g in gs:
             assert check_group(g).ok
+
+
+def test_every_catalogue_group_is_the_builtin_of_its_label():
+    for n in range(1, 9):
+        for g in groups_of_order(n):
+            found = builtin_group(g.label)
+            assert (found.label, found.identity, found.table) \
+                == (g.label, g.identity, g.table), g.label
+
+
+def test_groups_of_order_builds_no_table_of_another_order(monkeypatch):
+    # a suite's setup asks for one order at a time
+    def refuse():
+        raise AssertionError("built a table of another order")
+
+    for n, makes in list(skewbraces._CATALOGUE.items()):
+        if n != 6:
+            monkeypatch.setitem(skewbraces._CATALOGUE, n, (refuse,) * len(makes))
+    assert [g.label for g in groups_of_order(6)] == ["Z6", "S3"]
 
 
 def test_group_tables_counts_match_automorphism_formula():
