@@ -263,6 +263,11 @@ def group_algebra(table: CayleyTable, field) -> HopfAlgebraData:
     """The group algebra over an exact field: basis = group elements,
     group-like coproduct, antipode = inversion."""
     check_group(table).require(NotAGroup, "table fails the group axioms")
+    return _group_algebra(table, field)
+
+
+def _group_algebra(table: CayleyTable, field) -> HopfAlgebraData:
+    """group_algebra's body, for a table already checked to be a group."""
     n, e = table.order, table.identity
     one = field.one()
     space = Space(n)

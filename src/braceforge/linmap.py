@@ -17,7 +17,7 @@ shuffle), so a different braiding can be swapped in at this one point;
 braiding is memoized, so every formula shares one swap per pair of spaces.
 legwise(f, g, c1, c2) is the one place where two maps meet the legs of
 two coproducts: f takes the first leg of each, g the second, and the
-middle legs pass through c_{A,B}, whose columns legwise reads.  One
+middle legs pass through c_{A,B}, which legwise reads as a map.  One
 coproduct leg passing a carrier is actions' interchange, not legwise.
 
 Matrices are semantically dense; internally a LinMap is stored column
@@ -25,22 +25,35 @@ major, as {col: {row: value}} holding only the nonzero entries of only the
 nonzero columns.  Column j is the sparse vector f(e_j), so compose reads
 just the columns of its left operand that its right operand reaches, and
 no entry needs a tuple key for the cyclic garbage collector to scan.
+A map whose every column is a single nonzero entry (a monomial map, as
+every structure map of a linearized skew brace is) also has a second
+form, its monomial view (rows, vals): column j is vals[j] at row rows[j],
+and vals is None when every entry is 1.  A map is made in one form and
+builds the other on its first read: the columns from the view, or the
+view by one scan of the columns, which stops at the first column that is
+not a single entry and then records that the map has no view.
+Identities, braidings and the composites, tensors and legwise results of
+monomial maps are made as views, by list indexing, and their columns are
+built only if something reads them.  ==, hash, items and first_difference
+read the views when both maps have one, so two monomial maps compare as
+lists, with the witness and hash their columns would give; a monomial map
+equals no map that is not monomial.
 
-A column dict is never mutated once the map that first holds it is built.
-So maps share columns freely: compose hands on column k of its left
-operand wherever the right operand sends a basis vector to e_k with
-coefficient 1 (as the permutation-like structure maps of the corpus do).
-tensor builds no columns: it returns a map that holds its two factors.
-compose reads such an operand through its factors, so a padding
-f o (id (x) g) or (g (x) id) o k costs one pass over the columns of the
-result.  A tensor's own columns are built once, when something first
-reads them (==, hash, items, entry, rows, legwise, storage or pickling),
-column by column from the factors' columns, by the routine that compose
-streams the right one of two tensors through.  legwise builds its result
-one output column at a time, from the columns of c1, c2, the braiding, f
-and g that the column reaches; it never builds f (x) g, c1 (x) c2,
-id (x) c (x) id or a composite of them, whose dimension is the fourth
-power of the carrier's.
+A column dict and a view are never mutated once the map that first holds
+them is built.  So maps share them freely: compose hands on column k of
+its left operand wherever a monomial right operand sends a basis vector
+to e_k with coefficient 1.  tensor builds no columns: it returns a map
+that holds its two factors.  compose and legwise read such an operand
+through its factors (the view of a tensor of monomial maps is made from
+theirs), so a padding f o (id (x) g) or (g (x) id) o k costs one pass
+over the columns of the result.  A tensor's own view or columns are
+built once, when something first reads them (==, hash, items, entry,
+rows, storage or pickling), from the factors; its columns by the routine
+that compose streams the right one of two tensors through.  legwise
+builds its result one output column at a time, from the columns (or the
+views) of c1, c2, the braiding, f and g that the column reaches; it never
+builds f (x) g, c1 (x) c2, id (x) c (x) id or a composite of them, whose
+dimension is the fourth power of the carrier's.
 Products are summed with plain + and *, and each output entry is brought
 into the field's canonical form once, by field.normalize.  All values are
 immutable after construction, so a LinMap hashes once and can key a cache.
@@ -51,6 +64,8 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count, repeat
+from operator import ne
 from typing import Iterable, Mapping
 
 from .errors import DimensionMismatch, FieldMismatch
@@ -256,7 +271,7 @@ class LinMap:
     image of the j-th domain basis vector.
     """
 
-    __slots__ = ("field", "domain", "codomain", "_cols", "_hash")
+    __slots__ = ("field", "domain", "codomain", "_cols", "_mono", "_hash")
 
     def __init__(self, field: Field, domain: Space, codomain: Space,
                  entries: Mapping[tuple[int, int], object]):
@@ -279,6 +294,19 @@ class LinMap:
     def __setattr__(self, *a):
         raise AttributeError("LinMap is immutable")
 
+    def __getattr__(self, name):
+        # reached only for a slot not yet set: a map is made with its
+        # columns or with its monomial view, and the other is built from it
+        # on its first read and kept
+        if name == "_mono":
+            value = _scan(self._cols, self.domain.dim)
+        elif name == "_cols":
+            value = dict(_view_columns(self._mono))
+        else:
+            raise AttributeError(name)
+        object.__setattr__(self, name, value)
+        return value
+
     def __reduce__(self):
         return (LinMap, (self.field, self.domain, self.codomain, dict(self.items())))
 
@@ -300,8 +328,7 @@ class LinMap:
 
     @classmethod
     def identity(cls, field: Field, space: Space) -> "LinMap":
-        one = field.one()
-        return _raw(field, space, space, {i: {i: one} for i in range(space.dim)})
+        return _monomial(field, space, space, list(range(space.dim)), None)
 
     @classmethod
     def zero(cls, field: Field, domain: Space, codomain: Space) -> "LinMap":
@@ -320,18 +347,24 @@ class LinMap:
     def items(self):
         """Nonzero entries as an iterator of ((row, col), value), column major:
         all entries of one column come together."""
-        return (((i, j), v) for j, col in self._cols.items() for i, v in col.items())
+        view = self._mono
+        if view is None:
+            return (((i, j), v) for j, col in self._cols.items() for i, v in col.items())
+        rows, vals = view
+        return zip(zip(rows, range(len(rows))), _ONES if vals is None else vals)
 
     def support_size(self) -> int:
-        return sum(map(len, self._cols.values()))
+        view = self._mono
+        if view is None:
+            return sum(map(len, self._cols.values()))
+        return len(view[0])
 
     def rows(self) -> list[list[object]]:
         """Dense matrix as nested lists (row major)."""
         zero = self.field.zero()
         out = [[zero] * self.domain.dim for _ in range(self.codomain.dim)]
-        for j, col in self._cols.items():
-            for i, v in col.items():
-                out[i][j] = v
+        for (i, j), v in self.items():
+            out[i][j] = v
         return out
 
     def shape(self) -> tuple[int, int]:
@@ -342,10 +375,13 @@ class LinMap:
             return True
         if not isinstance(other, LinMap):
             return NotImplemented
-        return (self.field == other.field
-                and self.domain.dim == other.domain.dim
-                and self.codomain.dim == other.codomain.dim
-                and self._cols == other._cols)
+        if (self.field != other.field or self.domain.dim != other.domain.dim
+                or self.codomain.dim != other.codomain.dim):
+            return False
+        a, b = self._mono, other._mono
+        if a is None or b is None:  # a monomial map equals no other kind
+            return a is b and self._cols == other._cols
+        return a == b
 
     def __hash__(self):
         try:
@@ -359,6 +395,85 @@ class LinMap:
     def __repr__(self) -> str:
         return (f"LinMap({self.field.name}, {self.codomain.dim}x{self.domain.dim}, "
                 f"nnz={self.support_size()})")
+
+
+# ---------------------------------------------------------------------------
+# monomial views
+
+_ONES = repeat(1)  # the values of a view whose vals is None; zip stops it
+
+
+def _unless_ones(vals: list) -> list | None:
+    """vals, or None if every value is 1."""
+    return None if vals.count(1) == len(vals) else vals
+
+
+def _scan(cols: dict, n: int) -> tuple | None:
+    """The monomial view of the map with columns cols and domain dimension
+    n, or None if some column is not a single entry."""
+    if len(cols) != n:
+        return None
+    rows, vals = [0] * n, [0] * n
+    for j, col in cols.items():
+        if len(col) != 1:
+            return None
+        ((rows[j], vals[j]),) = col.items()
+    return rows, _unless_ones(vals)
+
+
+def _view_columns(view: tuple):
+    """The (j, column) pairs of a monomial view, made one at a time."""
+    rows, vals = view
+    return enumerate({i: v} for i, v in zip(rows, _ONES if vals is None else vals))
+
+
+def _view(m: LinMap) -> tuple | None:
+    """The monomial view of m, or None; a tensor's is read through its
+    factors and not kept."""
+    if type(m) is _Tensor:
+        return _tensor_view(*m._factors, m.field.normalize)
+    return m._mono
+
+
+def _tensor_view(f: LinMap, g: LinMap, norm) -> tuple | None:
+    """The monomial view of f (x) g, from those of f and g, or None."""
+    fv, gv = _view(f), _view(g)
+    if fv is None or gv is None:
+        return None
+    (frows, fvals), (grows, gvals) = fv, gv
+    gdim = g.codomain.dim
+    rows = [p + q for p in [r * gdim for r in frows] for q in grows]
+    if fvals is None:
+        return rows, None if gvals is None else gvals * len(frows)
+    if gvals is None:
+        return rows, [v for v in fvals for _ in grows]
+    return rows, _unless_ones([norm(a * b) for a in fvals for b in gvals])
+
+
+def _compose_views(fv: tuple, gv: tuple, norm) -> tuple:
+    """The monomial view of f o g, from those of f and g."""
+    (frows, fvals), (grows, gvals) = fv, gv
+    rows = list(map(frows.__getitem__, grows))
+    if fvals is None:
+        return rows, gvals
+    if gvals is None:
+        return rows, _unless_ones(list(map(fvals.__getitem__, grows)))
+    return rows, _unless_ones([norm(fvals[k] * w) for k, w in zip(grows, gvals)])
+
+
+def _monomial(field: Field, domain: Space, codomain: Space,
+              rows: list, vals: list | None) -> LinMap:
+    """A LinMap around its monomial view: column j is the single entry
+    vals[j] at row rows[j], or 1 there if vals is None.  The rows are in
+    range, the values nonzero and canonical, and vals is None rather than
+    all 1; the lists are held as they are, so neither may be mutated
+    afterwards."""
+    out = LinMap.__new__(LinMap)
+    object.__setattr__(out, "field", field)
+    object.__setattr__(out, "domain", domain)
+    object.__setattr__(out, "codomain", codomain)
+    object.__setattr__(out, "_mono", (rows, vals))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -404,37 +519,53 @@ def compose(*maps: LinMap) -> LinMap:
 def _compose2(f: LinMap, g: LinMap) -> LinMap:
     """f o g, column by column: column j is f applied to column j of g.
 
-    A tensor operand is read through its factors and never built.
+    A tensor operand is read through its factors and never built.  When g
+    is monomial, column j is f's column rows[j] times vals[j], so two
+    monomial maps compose by list indexing.
     """
     norm = f.field.normalize
-    if type(f) is _Tensor:
-        a, b = f._factors
-        if type(g) is not _Tensor:
-            cols = _apply_tensor(a, b, g._cols.items(), norm)
-        else:
-            c, d = g._factors
-            cols = _apply_tensor(a, b, _factor_columns(c._cols.items(), d, norm), norm)
+    gv = _view(g)
+    if gv is not None:
+        fv = _view(f)
+        if fv is not None:
+            return _monomial(f.field, g.domain, f.codomain, *_compose_views(fv, gv, norm))
+        if type(f) is not _Tensor:
+            return _raw(f.field, g.domain, f.codomain, _gather(f._cols, gv, norm))
+        columns = _view_columns(gv)
     elif type(g) is _Tensor:
-        cols = _apply_to_tensor(f._cols, *g._factors, norm)
+        c, d = g._factors
+        columns = _factor_columns(c._cols.items(), d, norm)
     else:
-        cols = _apply(f._cols, g._cols.items(), norm)
+        columns = g._cols.items()
+    if type(f) is _Tensor:
+        cols = _apply_tensor(*f._factors, columns, norm)
+    else:
+        cols = _apply(f._cols, columns, norm)
     return _raw(f.field, g.domain, f.codomain, cols)
+
+
+def _gather(fcols: dict, gv: tuple, norm) -> dict:
+    """The columns of f o g, for the columns of f and the monomial view of
+    g: column j is column rows[j] of f times vals[j], f's own column,
+    shared, not copied, where that is 1."""
+    rows, vals = gv
+    if vals is None:
+        return {j: col for j, col in enumerate(map(fcols.get, rows)) if col is not None}
+    cols = {}
+    for j, (k, w) in enumerate(zip(rows, vals)):
+        col = fcols.get(k)
+        if col is not None:  # a product of nonzero field values is nonzero
+            cols[j] = col if w == 1 else {i: norm(v * w) for i, v in col.items()}
+    return cols
 
 
 def _apply(fcols: dict, columns, norm) -> dict:
     """The columns of f o g, for the columns of f and those (j, column) of g.
 
-    Only the columns of f that g reaches are read.  A column of g that is a
-    single entry 1 at row k gives column k of f itself, shared, not copied.
+    Only the columns of f that g reaches are read.
     """
     cols = {}
     for j, gcol in columns:
-        if len(gcol) == 1:
-            ((k, vg),) = gcol.items()
-            fcol = fcols.get(k)
-            if fcol is not None:  # a product of nonzero field values is nonzero
-                cols[j] = fcol if vg == 1 else {i: norm(vf * vg) for i, vf in fcol.items()}
-            continue
         acc = {}
         for k, vg in gcol.items():
             fcol = fcols.get(k)
@@ -451,57 +582,15 @@ def _apply(fcols: dict, columns, norm) -> dict:
     return cols
 
 
-def _apply_to_tensor(fcols: dict, g: LinMap, h: LinMap, norm) -> dict:
-    """The columns of f o (g (x) h), read through g and h.
-
-    When column x of g is a single entry at row p and every column of h is
-    a single entry (h is monomial, as the corpus's maps are), column (x, y)
-    is f's column p * dim(h's codomain) + k times the two entries, where
-    column y of h sits at row k; it is f's own column, shared, when both
-    entries are 1.  Other columns are made from the factors' one at a time.
-    """
-    hc, hd = h.codomain.dim, h.domain.dim
-    hcols = h._cols
-    singles = [(y, k, vh) for y, col in hcols.items() if len(col) == 1
-               for k, vh in col.items()]
-    monomial = len(singles) == len(hcols)
-    cols = {}
-    for x, gcol in g._cols.items():
-        if len(gcol) == 1 and monomial:
-            ((p, vg),) = gcol.items()
-            base, off = x * hd, p * hc
-            for y, k, vh in singles:
-                fcol = fcols.get(off + k)
-                if fcol is None:
-                    continue
-                if vg == 1 and vh == 1:
-                    cols[base + y] = fcol
-                else:
-                    v = vg * vh
-                    cols[base + y] = {i: norm(vf * v) for i, vf in fcol.items()}
-            continue
-        cols.update(_apply(fcols, _factor_columns(((x, gcol),), h, norm), norm))
-    return cols
-
-
 def _apply_tensor(a: LinMap, b: LinMap, columns, norm) -> dict:
     """The columns of (a (x) b) o g, for the columns (j, v) of g, read
     through a and b: an entry w at row p of v contributes
     w a(e_{p div B}) (x) b(e_{p mod B}), where B is the dimension of b's
-    domain.  The entries of v must be in canonical form."""
+    domain."""
     acols, bcols = a._cols, b._cols
     bd, bc = b.domain.dim, b.codomain.dim
     cols = {}
     for j, gcol in columns:
-        if len(gcol) == 1:
-            ((p, w),) = gcol.items()
-            acol, bcol = acols.get(p // bd), bcols.get(p % bd)
-            if acol is None or bcol is None:
-                continue
-            if len(acol) == 1 and len(bcol) == 1:
-                ((i, va),), ((k, vb),) = acol.items(), bcol.items()
-                cols[j] = {i * bc + k: w if va == 1 and vb == 1 else norm(w * va * vb)}
-                continue
         acc = {}
         for p, w in gcol.items():
             acol, bcol = acols.get(p // bd), bcols.get(p % bd)
@@ -539,14 +628,10 @@ def _factor_columns(gcols, h: LinMap, norm):
     hc, hd = h.codomain.dim, h.domain.dim
     hcols = h._cols.items()
     for x, gcol in gcols:
-        base, single = x * hd, len(gcol) == 1
+        base = x * hd
         for y, hcol in hcols:
-            if single and len(hcol) == 1:
-                ((p, vg),), ((q, vh),) = gcol.items(), hcol.items()
-                yield base + y, {p * hc + q: vh if vg == 1 else norm(vg * vh)}
-            else:
-                yield base + y, {p * hc + q: norm(vg * vh)
-                                 for p, vg in gcol.items() for q, vh in hcol.items()}
+            yield base + y, {p * hc + q: norm(vg * vh)
+                             for p, vg in gcol.items() for q, vh in hcol.items()}
 
 
 def tensor(*maps: LinMap) -> LinMap:
@@ -565,8 +650,9 @@ def tensor(*maps: LinMap) -> LinMap:
 
 class _Tensor(LinMap):
     """f (x) g, held as the pair of its factors.  compose reads it through
-    them.  Its columns are built on their first read (by ==, hash, items,
-    entry, rows, legwise, storage or pickling) and kept."""
+    them.  Its monomial view or its columns are built on their first read
+    (by ==, hash, items, entry, rows, legwise, storage or pickling) and
+    kept."""
 
     __slots__ = ("_factors",)
 
@@ -577,13 +663,17 @@ class _Tensor(LinMap):
         object.__setattr__(self, "_factors", (f, g))
 
     def __getattr__(self, name):
-        # reached only for a slot not yet set, so _cols only before its first read
-        if name != "_cols":
-            raise AttributeError(name)
+        # reached only for a slot not yet set, so _mono and _cols each only
+        # before its first read
         f, g = self._factors
-        cols = dict(_factor_columns(f._cols.items(), g, self.field.normalize))
-        object.__setattr__(self, "_cols", cols)
-        return cols
+        if name == "_mono":
+            value = _tensor_view(f, g, self.field.normalize)
+        elif name == "_cols":
+            value = dict(_factor_columns(f._cols.items(), g, self.field.normalize))
+        else:
+            raise AttributeError(name)
+        object.__setattr__(self, name, value)
+        return value
 
     def support_size(self) -> int:
         f, g = self._factors
@@ -593,12 +683,8 @@ class _Tensor(LinMap):
 @memoize
 def braiding(field: Field, a: Space, b: Space) -> LinMap:
     """The symmetric swap c_{A,B} : A (x) B -> B (x) A, e_i (x) e_j -> e_j (x) e_i."""
-    one = field.one()
-    entries = {}
-    for i in range(a.dim):
-        for j in range(b.dim):
-            entries[(j * a.dim + i, i * b.dim + j)] = one
-    return LinMap(field, a.tensor(b), b.tensor(a), entries)
+    rows = [j * a.dim + i for i in range(a.dim) for j in range(b.dim)]
+    return _monomial(field, a.tensor(b), b.tensor(a), rows, None)
 
 
 def _leg(c: LinMap, name: str) -> Space:
@@ -619,6 +705,8 @@ def legwise(f: LinMap, g: LinMap, c1: LinMap, c2: LinMap) -> LinMap:
     of column x and c2[kB + l, y] of column y and the entries c[s, jB + k]
     of c = c_{A,B}, of their product times f(e_{iB + s div A}) (x)
     g(e_{(s mod A)B + l}).  Only the columns of f and g so reached are read.
+    When all five maps are monomial, each sum has one term, and the result
+    is monomial too.
     """
     a, b = _leg(c1, "c1"), _leg(c2, "c2")
     field = _require_same_field(f, g, c1, c2)
@@ -628,10 +716,15 @@ def legwise(f: LinMap, g: LinMap, c1: LinMap, c2: LinMap) -> LinMap:
         if m.domain.dim != ab:
             raise DimensionMismatch(f"legwise: {name} takes dimension "
                                     f"{m.domain.dim}, not {na}·{nb} = {ab}")
-    ccols = braiding(field, a, b)._cols
-    fcols, gcols = f._cols, g._cols
+    c = braiding(field, a, b)
     gdim, ny = g.codomain.dim, c2.domain.dim
     norm = field.normalize
+    domain, codomain = c1.domain.tensor(c2.domain), f.codomain.tensor(g.codomain)
+    views = [_view(m) for m in (f, g, c, c1, c2)]
+    if None not in views:
+        return _monomial(field, domain, codomain,
+                         *_legwise_view(*views, na, nb, gdim, norm))
+    ccols, fcols, gcols = c._cols, f._cols, g._cols
     c2cols = [(y, tuple(col.items())) for y, col in c2._cols.items()]
     cols = {}
     for x, c1col in c1._cols.items():
@@ -657,7 +750,33 @@ def legwise(f: LinMap, g: LinMap, c1: LinMap, c2: LinMap) -> LinMap:
             col = _normalized(acc, norm)
             if col:
                 cols[x * ny + y] = col
-    return _raw(field, c1.domain.tensor(c2.domain), f.codomain.tensor(g.codomain), cols)
+    return _raw(field, domain, codomain, cols)
+
+
+def _legwise_view(fv, gv, cv, c1v, c2v, na, nb, gdim, norm) -> tuple:
+    """The monomial view of legwise(f, g, c1, c2), from those of f, g,
+    c = c_{A,B}, c1 and c2: column x (x) y is the one term of the sum."""
+    (frows, fvals), (grows, gvals), (crows, cvals) = fv, gv, cv
+    (rows1, vals1), (rows2, vals2) = c1v, c2v
+    fks, gks, cks = [], [], []  # the columns of f, g and c each column reads
+    for p in rows1:
+        ib, jb = p // na * nb, p % na * nb
+        for q in rows2:
+            t = jb + q // nb
+            s = crows[t]
+            fks.append(ib + s // na)
+            gks.append(s % na * nb + q % nb)
+            cks.append(t)
+    rows = [frows[k] * gdim + grows[k2] for k, k2 in zip(fks, gks)]
+    factors = [list(map(vals.__getitem__, ks)) for vals, ks
+               in ((fvals, fks), (gvals, gks), (cvals, cks)) if vals is not None]
+    if vals1 is not None:
+        factors.append([v for v in vals1 for _ in rows2])
+    if vals2 is not None:
+        factors.append(vals2 * len(rows1))
+    if not factors:
+        return rows, None
+    return rows, _unless_ones([norm(math.prod(ws)) for ws in zip(*factors)])
 
 
 def first_difference(f: LinMap, g: LinMap) -> dict | None:
@@ -671,14 +790,24 @@ def first_difference(f: LinMap, g: LinMap) -> dict | None:
     if f.shape() != g.shape():
         ls, rs = f.shape(), g.shape()
         return {"kind": "shape", "left": f"{ls[0]}x{ls[1]}", "right": f"{rs[0]}x{rs[1]}"}
-    fcols, gcols = f._cols, g._cols
-    if fcols == gcols:
-        return None
     # Canonical columns hold no zeros, so unequal maps have a first column
     # whose dicts differ, and in it a first row whose entries differ.
-    j = next(j for j in sorted(fcols.keys() | gcols.keys())
-             if fcols.get(j, _NO_COLUMN) != gcols.get(j, _NO_COLUMN))
-    a, b = fcols.get(j, _NO_COLUMN), gcols.get(j, _NO_COLUMN)
+    fv, gv = f._mono, g._mono
+    if fv is not None and gv is not None:
+        if fv == gv:
+            return None
+        (frows, fvals), (grows, gvals) = fv, gv
+        j = next(compress(count(), map(ne, zip(frows, fvals or _ONES),
+                                       zip(grows, gvals or _ONES))))
+        a = {frows[j]: 1 if fvals is None else fvals[j]}
+        b = {grows[j]: 1 if gvals is None else gvals[j]}
+    else:
+        fcols, gcols = f._cols, g._cols
+        if fcols == gcols:
+            return None
+        j = next(j for j in sorted(fcols.keys() | gcols.keys())
+                 if fcols.get(j, _NO_COLUMN) != gcols.get(j, _NO_COLUMN))
+        a, b = fcols.get(j, _NO_COLUMN), gcols.get(j, _NO_COLUMN)
     zero = f.field.zero()
     i = min(i for i in a.keys() | b.keys() if a.get(i, zero) != b.get(i, zero))
     fmt = f.field.format

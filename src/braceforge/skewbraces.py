@@ -431,7 +431,8 @@ def linearize(s: SkewBraceData, field):
     # check_group.  Moving linearize into brace.py would remove the cycle,
     # but the benchmark traces it by the name skewbraces.linearize.
     from .brace import HopfBraceData
-    from .hopf import group_algebra
+    from .hopf import _group_algebra
 
-    return HopfBraceData.of(group_algebra(s.dot, field),
-                            group_algebra(s.circ, field))
+    # check_skew_brace has checked both tables, so neither is checked again
+    return HopfBraceData.of(_group_algebra(s.dot, field),
+                            _group_algebra(s.circ, field))

@@ -264,12 +264,13 @@ def test_order_8_corpus_one_brace_per_stratum():
 
 
 def _on_tensor_build(monkeypatch, record):
-    """Call record(t) for each tensor t whose columns are built: a tensor
-    builds them on the first read of its _cols, from its two factors."""
+    """Call record(t) for each tensor t whose columns or monomial view are
+    built: a tensor builds each on the first read of its _cols or _mono,
+    from its two factors."""
     getattr_ = linmap._Tensor.__getattr__
 
     def counting_getattr(self, name):
-        if name == "_cols":
+        if name in ("_cols", "_mono"):
             record(self)
         return getattr_(self, name)
 
@@ -280,21 +281,27 @@ def test_order_8_row_builds_no_map_on_the_fourth_tensor_power(monkeypatch):
     # Every map a row needs lives on at most three tensor factors of the
     # carrier: legwise reads the braiding instead of padding it to H^(x)4.
     # From cold caches, so that no memoized map built earlier hides one.
-    # A tensor sets its own columns when first read, so its builds are
-    # counted too.
+    # A map is built from its columns (_raw), from its monomial view
+    # (_monomial) or from entries, and a tensor sets its own columns or
+    # view when first read, so its builds are counted too.
     clear_caches()
     widest = []
-    raw, init = linmap._raw, LinMap.__init__
+    raw, monomial, init = linmap._raw, linmap._monomial, LinMap.__init__
 
     def counting_raw(field, domain, codomain, cols):
         widest.append(max(domain.dim, codomain.dim))
         return raw(field, domain, codomain, cols)
+
+    def counting_monomial(field, domain, codomain, rows, vals):
+        widest.append(max(domain.dim, codomain.dim))
+        return monomial(field, domain, codomain, rows, vals)
 
     def counting_init(self, field, domain, codomain, entries):
         widest.append(max(domain.dim, codomain.dim))
         init(self, field, domain, codomain, entries)
 
     monkeypatch.setattr(linmap, "_raw", counting_raw)
+    monkeypatch.setattr(linmap, "_monomial", counting_monomial)
     monkeypatch.setattr(LinMap, "__init__", counting_init)
     _on_tensor_build(monkeypatch,
                      lambda t: widest.append(max(t.domain.dim, t.codomain.dim)))

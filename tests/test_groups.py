@@ -434,3 +434,13 @@ def test_linearize_products_are_the_two_group_algebras():
     assert b.product1 == group_algebra(s.dot, QQ).product
     assert b.product2 == group_algebra(s.circ, QQ).product
     assert b.antipode2 == group_algebra(s.circ, QQ).antipode
+
+
+def test_linearize_checks_each_table_once(count_calls):
+    # check_skew_brace checks the dot and the circ table, and the two group
+    # algebras are built without checking either again
+    s = enumerate_skew_braces(dihedral(4))[-1]
+    assert s.dot != s.circ
+    calls = count_calls(check_group)
+    linearize(s, QQ)
+    assert calls == {"check_group": 2}

@@ -835,3 +835,145 @@ def test_shared_columns_are_never_changed():
         assert (list(f.items()), hash(f), f.rows()) == state
         rebuilt = LinMap.from_rows(field, state[2])
         assert rebuilt == f and hash(rebuilt) == hash(f)
+
+
+# -- monomial maps -------------------------------------------------------------
+# Every column of a monomial map is a single nonzero entry, as in every
+# structure map of a linearized skew brace.  Such a map is also held as its
+# monomial view, and compose, tensor, legwise, ==, hash and first_difference
+# read the views; these properties hold them to the dense oracle, mixed with
+# dense maps and across the two forms.
+
+_MONOMIAL_FIELDS = st.sampled_from([QQ, F5, F7])
+
+
+@st.composite
+def _monomial_rows(draw, field, nrows, ncols):
+    """Rows of a monomial matrix: its columns send the basis vectors by a
+    permutation or by any map of basis vectors (all to e_0 when nrows is 1,
+    the counit's shape), with every value 1 or any nonzero values."""
+    if nrows == ncols and draw(st.booleans()):
+        targets = draw(st.permutations(range(nrows)))
+    else:
+        targets = draw(st.lists(st.integers(0, nrows - 1), min_size=ncols, max_size=ncols))
+    values = draw(st.one_of(
+        st.just([1] * ncols),
+        st.lists(_scalars(field, nonzero=True), min_size=ncols, max_size=ncols)))
+    return [[values[j] if targets[j] == i else 0 for j in range(ncols)]
+            for i in range(nrows)]
+
+
+@st.composite
+def _operand(draw, field, rows2, cols2, kinds=("entries", "view", "tensor", "dense")):
+    """(map, reference rows) of shape rows2[0]·rows2[1] x cols2[0]·cols2[1]:
+    a monomial map made from entries, a monomial map made as a view (a
+    composite with an identity), a tensor of two monomial maps, or a dense
+    map."""
+    (r1, r2), (c1, c2) = rows2, cols2
+    nrows, ncols = r1 * r2, c1 * c2
+    kind = draw(st.sampled_from(kinds))
+    if kind == "dense":
+        ref = draw(_dense(field, nrows, ncols))
+        return LinMap.from_rows(field, ref), ref
+    if kind == "tensor":
+        x, y = draw(_monomial_rows(field, r1, c1)), draw(_monomial_rows(field, r2, c2))
+        return (tensor(LinMap.from_rows(field, x), LinMap.from_rows(field, y)),
+                _ref_tensor(field, x, y))
+    ref = draw(_monomial_rows(field, nrows, ncols))
+    m = LinMap.from_rows(field, ref)
+    if kind == "view":
+        m = compose(LinMap.identity(field, Space(nrows)), m)
+    return m, ref
+
+
+def _assert_a_value(m, field, ref):
+    """m agrees with ref, hashes by the formula of its entries, and pickles
+    to an equal plain LinMap, whichever form it is held in."""
+    _agrees(m, field, ref)
+    entries = frozenset(((i, j), _reduce(field, v)) for i, row in enumerate(ref)
+                        for j, v in enumerate(row) if _reduce(field, v))
+    assert hash(m) == hash((field, m.domain.dim, m.codomain.dim, entries))
+    copy = pickle.loads(pickle.dumps(m))
+    assert type(copy) is LinMap and copy == m and hash(copy) == hash(m)
+
+
+@given(st.data())
+def test_monomial_maps_match_dense_oracle(data):
+    field = data.draw(_MONOMIAL_FIELDS)
+    a, b, c = ((data.draw(st.integers(1, 2)), data.draw(st.integers(1, 3)))
+               for _ in range(3))
+    f, fr = data.draw(_operand(field, c, b))
+    g, gr = data.draw(_operand(field, b, a))
+    k, kr = data.draw(_operand(field, a, (1, 2)))
+    n = g.domain.dim
+    one, one_r = LinMap.identity(field, g.domain), [[int(i == j) for j in range(n)]
+                                                    for i in range(n)]
+    for m, ref in ((f, fr), (g, gr), (one, one_r), (compose(g, one), gr)):
+        _assert_a_value(m, field, ref)
+    fg = compose(f, g)
+    assert type(fg) is LinMap
+    _assert_a_value(fg, field, _ref_compose(field, fr, gr))
+    _assert_a_value(compose(f, g, k), field,
+                    _ref_compose(field, fr, _ref_compose(field, gr, kr)))
+    _assert_a_value(tensor(f, g), field, _ref_tensor(field, fr, gr))
+    _assert_a_value(compose(tensor(f, g), tensor(g, k)), field,
+                    _ref_compose(field, _ref_tensor(field, fr, gr),
+                                 _ref_tensor(field, gr, kr)))
+
+
+@given(st.data())
+def test_monomial_witness_is_the_dense_one(data):
+    # the first column whose entries differ, then its least differing row,
+    # as for the same maps rebuilt from their entries
+    field = data.draw(_MONOMIAL_FIELDS)
+    dims = ((data.draw(st.integers(1, 2)), data.draw(st.integers(1, 3))),
+            (data.draw(st.integers(1, 2)), data.draw(st.integers(1, 3))))
+    kinds = ("entries", "view", "tensor")
+    x, xr = data.draw(_operand(field, *dims, kinds))
+    y, yr = data.draw(_operand(field, *dims, kinds))
+    if data.draw(st.booleans()):  # y is x but for one column, or all of x
+        j = data.draw(st.integers(0, len(xr[0]) - 1))
+        col = data.draw(_monomial_rows(field, len(xr), 1))
+        yr = [row[:j] + ([c] if data.draw(st.booleans()) else [row[j]]) + row[j + 1:]
+              for row, (c,) in zip(xr, col)]
+        y = LinMap.from_rows(field, yr)
+        if data.draw(st.booleans()):
+            y = compose(y, LinMap.identity(field, y.domain))
+    wit = _ref_first_difference(field, xr, yr)
+    assert first_difference(x, y) == wit
+    rebuilt = [LinMap(field, m.domain, m.codomain, dict(m.items())) for m in (x, y)]
+    assert first_difference(*rebuilt) == wit
+    assert (x == y) == (wit is None) == (rebuilt[0] == rebuilt[1])
+    if wit is None:
+        assert hash(x) == hash(y) == hash(rebuilt[1])
+
+
+def _interchange_rows(na, nb):
+    """The dense rows of id_A (x) c_{A,B} (x) id_B, by its index formula."""
+    n = na * na * nb * nb
+    rows = [[0] * n for _ in range(n)]
+    for i, j, k, ell in itertools.product(range(na), range(na), range(nb), range(nb)):
+        rows[((i * nb + k) * na + j) * nb + ell][((i * na + j) * nb + k) * nb + ell] = 1
+    return rows
+
+
+@given(st.data())
+def test_legwise_of_monomial_maps_matches_dense_oracle(data):
+    field = data.draw(_MONOMIAL_FIELDS)
+    dim = lambda: data.draw(st.integers(1, 2))  # noqa: E731
+    na, nb, nx, ny, nf, ng = dim(), dim(), dim(), dim(), dim(), dim()
+    kinds = ("entries", "view", "tensor", "dense")
+    monomial = ("entries", "view", "tensor")
+    # mostly all monomial (one term per column), sometimes one map dense
+    dense_one = data.draw(st.sampled_from(("none", "none", "f", "g", "c1", "c2")))
+    pick = lambda name: kinds if dense_one == name else monomial  # noqa: E731
+    f, fr = data.draw(_operand(field, (nf, 1), (na, nb), pick("f")))
+    g, gr = data.draw(_operand(field, (ng, 1), (na, nb), pick("g")))
+    c1, c1r = data.draw(_operand(field, (na, na), (nx, 1), pick("c1")))
+    c2, c2r = data.draw(_operand(field, (nb, nb), (ny, 1), pick("c2")))
+    want = _ref_compose(field, _ref_compose(field, _ref_tensor(field, fr, gr),
+                                            _interchange_rows(na, nb)),
+                        _ref_tensor(field, c1r, c2r))
+    got = legwise(f, g, c1, c2)
+    assert type(got) is LinMap
+    _assert_a_value(got, field, want)

@@ -13,6 +13,10 @@ assignment binds must be loaded somewhere in the library itself.
 Outside linmap.py, the symmetric braiding is called by a fixed set of
 functions, each of which swaps legs on purpose; a new caller, such as a
 formula that could read an interchange instead, has to be added here.
+
+Outside linmap.py, no library module reads a LinMap's storage, its
+columns (_cols) or its monomial view (_mono), so which form a map is held
+in stays private to the kernel.
 """
 import ast
 from pathlib import Path
@@ -128,3 +132,28 @@ def test_braiding_is_called_only_where_legs_are_swapped():
     assert braiding_callers(sources) == {
         "actions._interchange", "hopf._opposite_product",
         "hopf._opposite_coproduct", "matched.check_matched_pair"}
+
+
+_STORAGE = ("_cols", "_mono")
+
+
+def storage_readers(sources: dict[str, str]) -> list[str]:
+    """module:line for each read of a LinMap's storage in sources, as an
+    attribute or by its name in a string (for getattr)."""
+    return [f"{module}:{node.lineno}" for module, source in sources.items()
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr in _STORAGE
+            or isinstance(node, ast.Constant) and node.value in _STORAGE]
+
+
+def test_storage_readers_are_found():
+    source = ("def columns(m):\n"
+              "    return m._cols\n"
+              "def view(m):\n"
+              "    return getattr(m, '_mono'), m.cols, m._colsx\n")
+    assert storage_readers({"m": source}) == ["m:2", "m:4"]
+
+
+def test_only_linmap_reads_a_linmaps_storage():
+    sources = {p.stem: p.read_text() for p in LIBRARY if p.name != "linmap.py"}
+    assert storage_readers(sources) == []
